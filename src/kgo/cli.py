@@ -274,48 +274,28 @@ def cmd_orthonormality(
 def _closure_report(config, dimension, ell, truncations, fn_id, quad_count) -> KernelReport:
     params = config.params
     lam = params.lam
-    n_top = max(truncations)
-    count = quad_count if quad_count is not None else n_top + 64
+    count = quad_count if quad_count is not None else max(truncations) + 64
+    catalogue = TEST_FUNCTIONS_1D if dimension == "1d" else TEST_FUNCTIONS_RADIAL
+    if fn_id not in catalogue:
+        raise _UsageError(f"unknown {dimension} test function {fn_id!r}; known ids: {sorted(catalogue)}")
     if dimension == "1d":
-        try:
-            f = TEST_FUNCTIONS_1D[fn_id][1](params)
-        except KeyError:
-            raise _UsageError(
-                f"unknown 1d test function {fn_id!r}; known ids: {sorted(TEST_FUNCTIONS_1D)}"
-            ) from None
+        f = catalogue[fn_id][1](params)
         rule = gauss_hermite(count)
-        grid = np.linspace(-6.0 / lam, 6.0 / lam, 101)
-        grid_spec = f"uniform[{-6.0 / lam:.6g},{6.0 / lam:.6g}]n=101"
-        reference = np.array([f(x) for x in grid])
-        errors = []
-        for n in truncations:
-            proj = project_1d(params, n, f, rule)
-            rec = reconstruct_1d(proj, grid)
-            errors.append(float(np.max(np.abs(rec - reference))))
-        label = "1d"
+        lo, label = -6.0 / lam, "1d"
+        expand = lambda n, grid: reconstruct_1d(project_1d(params, n, f, rule), grid)
     else:
-        try:
-            f = TEST_FUNCTIONS_RADIAL[fn_id][1](params, ell)
-        except KeyError:
-            raise _UsageError(
-                f"unknown radial test function {fn_id!r}; known ids: {sorted(TEST_FUNCTIONS_RADIAL)}"
-            ) from None
+        f = catalogue[fn_id][1](params, ell)
         rule = gauss_laguerre(count, ell + 0.5)
-        grid = np.linspace(0.05 / lam, 6.0 / lam, 101)
-        grid_spec = f"uniform[{0.05 / lam:.6g},{6.0 / lam:.6g}]n=101"
-        reference = np.array([f(r) for r in grid])
-        errors = []
-        for n in truncations:
-            proj = project_radial(params, ell, n, f, rule)
-            rec = reconstruct_radial(proj, grid)
-            errors.append(float(np.max(np.abs(rec - reference))))
-        label = f"radial-ell{ell}"
+        lo, label = 0.05 / lam, f"radial-ell{ell}"
+        expand = lambda n, grid: reconstruct_radial(project_radial(params, ell, n, f, rule), grid)
+    grid = np.linspace(lo, 6.0 / lam, 101)
+    reference = np.array([f(x) for x in grid])
     return KernelReport(
         dimension=label,
         truncations=list(truncations),
         test_function_id=fn_id,
-        errors=errors,
-        grid_spec=grid_spec,
+        errors=[float(np.max(np.abs(expand(n, grid) - reference))) for n in truncations],
+        grid_spec=f"uniform[{lo:.6g},{6.0 / lam:.6g}]n=101",
     )
 
 
@@ -507,19 +487,18 @@ def _run(args) -> int:
         output_format=OutputFormat(args.format),
         output_path=args.out,
     )
-    if config.mass <= 0 or config.frequency <= 0:
-        raise _UsageError("mass and frequency must be positive")
+    if not (0 < config.mass < math.inf and 0 < config.frequency < math.inf):
+        raise _UsageError("mass and frequency must be positive and finite")
+    if getattr(args, "n_max", 0) < 0:
+        raise _UsageError("--n-max must be >= 0")
 
-    needs_ell = getattr(args, "dimension", None) == "radial"
     ell = getattr(args, "ell", None)
-    if needs_ell and ell is None:
-        raise _UsageError("--ell is required with --dimension radial")
+    if (ell is None) == (getattr(args, "dimension", None) == "radial"):
+        raise _UsageError("--ell is required with --dimension radial and accepted only there")
     if ell is not None and ell < 0:
         raise _UsageError("--ell must be >= 0")
 
     if args.command == "spectrum":
-        if args.n_max < 0:
-            raise _UsageError("--n-max must be >= 0")
         return cmd_spectrum(config, args.dimension, args.n_max)
     if args.command == "orthonormality":
         return cmd_orthonormality(config, args.dimension, args.n_max, ell, args.quad_count)
@@ -532,10 +511,10 @@ def _run(args) -> int:
             raise _UsageError("truncations must be non-negative integers")
         return cmd_closure(config, args.dimension, ell, truncations, args.test_function, args.quad_count)
     if args.command == "degeneracy":
-        if args.n_max < 0:
-            raise _UsageError("--n-max must be >= 0")
         return cmd_degeneracy(config, args.n_max)
     if args.command == "greens":
+        if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
+            raise _UsageError("--x1 and --x2 must be finite")
         return cmd_greens(
             config,
             args.dimension,

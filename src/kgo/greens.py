@@ -18,22 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximityError
 from .quadrature import QuadratureRule
 from .oscillator1d import (
-    Branch,
     OscillatorParams,
-    energy_1d,
-    project_1d,
-    eigenfunction_1d,
+    _coefficients,
+    _denominators,
     _eigenfunction_table,
+    _hermite_nodes,
+    _require_hermite,
+    _spectral_sum,
 )
-from .oscillator3d import (
-    _radial_table,
-    energy_3d,
-    project_radial,
-    radial_eigenfunction,
-)
+from .oscillator3d import _radial_nodes, _radial_table, _require_laguerre
 
 __all__ = [
     "GreensQuery",
@@ -54,44 +49,19 @@ class GreensQuery:
     pole_guard: float
 
     def __post_init__(self):
+        if not math.isfinite(self.probe_energy_sq):
+            raise ValueError(f"probe energy squared must be finite, got {self.probe_energy_sq}")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
         if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
 
 
-def _denominators_1d(params, query):
-    esq = np.array(
-        [energy_1d(params, n, Branch.POSITIVE) ** 2 for n in range(query.truncation + 1)]
-    )
-    dist = np.abs(query.probe_energy_sq - esq)
-    worst = int(np.argmin(dist))
-    if dist[worst] < query.pole_guard:
-        raise PoleProximityError(worst, distance=float(dist[worst]), guard=query.pole_guard)
-    return query.probe_energy_sq - esq
-
-
-def _denominators_radial(params, ell, query):
-    esq = np.array(
-        [
-            energy_3d(params, 2 * n_r + ell, Branch.POSITIVE) ** 2
-            for n_r in range(query.truncation + 1)
-        ]
-    )
-    dist = np.abs(query.probe_energy_sq - esq)
-    worst = int(np.argmin(dist))
-    if dist[worst] < query.pole_guard:
-        raise PoleProximityError(
-            worst, ell, distance=float(dist[worst]), guard=query.pole_guard
-        )
-    return query.probe_energy_sq - esq
-
-
 def greens_1d(params: OscillatorParams, query: GreensQuery, x: float, x2: float) -> float:
     """Truncated 1D spectral Green's function at (x, x')."""
-    denom = _denominators_1d(params, query)
-    table = _eigenfunction_table(params, query.truncation, np.array([x, x2]))
-    return math.fsum(table[:, 0] * table[:, 1] / denom)
+    denom = _denominators(params, query)
+    table = _eigenfunction_table(params, query.truncation, [x, x2])
+    return float(_spectral_sum(table[:, :1], table[:, 1:], denom)[0])
 
 
 def greens_3d_partial_wave(
@@ -99,9 +69,9 @@ def greens_3d_partial_wave(
 ) -> float:
     """Fixed-ell radial Green's function
     sum_{n_r<=N} R_{n_r ell}(r) R_{n_r ell}(r') / (E^2 - E_{2 n_r + ell}^2)."""
-    denom = _denominators_radial(params, ell, query)
-    table = _radial_table(params, ell, query.truncation, np.array([r, r2]))
-    return math.fsum(table[:, 0] * table[:, 1] / denom)
+    denom = _denominators(params, query, ell)
+    table = _radial_table(params, ell, query.truncation, [r, r2])
+    return float(_spectral_sum(table[:, :1], table[:, 1:], denom)[0])
 
 
 def coefficient_deviation_1d(
@@ -118,12 +88,13 @@ def coefficient_deviation_1d(
     of that identity under quadrature.
     """
     k_max = min(k_max, query.truncation)
-    denom = _denominators_1d(params, query)
-    proj = project_1d(params, k_max, lambda x: greens_1d(params, query, x, x2), rule)
-    expected = np.array(
-        [eigenfunction_1d(params, k, x2) / denom[k] for k in range(k_max + 1)]
-    )
-    return float(np.max(np.abs(proj.coefficients - expected)))
+    denom = _denominators(params, query)
+    _require_hermite(rule, k_max + 1)
+    x, table, scale = _hermite_nodes(params, query.truncation, rule)
+    at_x2 = _eigenfunction_table(params, query.truncation, x2)
+    greens = _spectral_sum(scale * table, at_x2, denom)
+    coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, x, "x")
+    return float(np.max(np.abs(coeffs - at_x2[: k_max + 1, 0] / denom[: k_max + 1])))
 
 
 def coefficient_deviation_radial(
@@ -136,14 +107,10 @@ def coefficient_deviation_radial(
 ) -> float:
     """Radial analogue of :func:`coefficient_deviation_1d` at fixed ell."""
     k_max = min(k_max, query.truncation)
-    denom = _denominators_radial(params, ell, query)
-    proj = project_radial(
-        params, ell, k_max, lambda r: greens_3d_partial_wave(params, ell, query, r, r2), rule
-    )
-    expected = np.array(
-        [
-            radial_eigenfunction(params, k, ell, r2) / denom[k]
-            for k in range(k_max + 1)
-        ]
-    )
-    return float(np.max(np.abs(proj.coefficients - expected)))
+    denom = _denominators(params, query, ell)
+    _require_laguerre(rule, ell, k_max + 1)
+    r, table, scale = _radial_nodes(params, ell, query.truncation, rule)
+    at_r2 = _radial_table(params, ell, query.truncation, r2)
+    greens = _spectral_sum(scale * table, at_r2, denom)
+    coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, r, "r")
+    return float(np.max(np.abs(coeffs - at_r2[: k_max + 1, 0] / denom[: k_max + 1])))

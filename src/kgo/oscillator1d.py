@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrandError, QuadratureError
+from .errors import IntegrandError, PoleProximityError, QuadratureError
 from .quadrature import GAUSS_HERMITE, QuadratureRule
 from .special import hermite_function, hermite_function_table
 
@@ -80,10 +80,10 @@ class OscillatorParams:
     convention: SpectrumConvention = SpectrumConvention.ODE_DERIVED
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.frequency > 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
 
     @property
     def lam(self) -> float:
@@ -125,16 +125,20 @@ class SpectralProjection:
             raise ValueError("coefficient count must equal truncation + 1")
 
 
+def _energy_sq(params: OscillatorParams, shell, dimension: int):
+    """E^2 of shell N (scalar or ndarray) in D = 1 or 3 spatial dimensions:
+    ode-derived m^2 + 2 m w N, as-printed m^2 + m w (2N + D)."""
+    m, w = params.mass, params.frequency
+    if params.convention is SpectrumConvention.ODE_DERIVED:
+        return m * m + 2.0 * m * w * shell
+    return m * m + m * w * (2 * shell + dimension)
+
+
 def energy_1d(params: OscillatorParams, n: int, branch: Branch) -> float:
     """Branch-signed energy of level n under the configured convention."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    m, w = params.mass, params.frequency
-    if params.convention is SpectrumConvention.ODE_DERIVED:
-        esq = m * m + 2.0 * m * w * n
-    else:
-        esq = m * m + m * w * (2 * n + 1)
-    return branch.sign * math.sqrt(esq)
+    return branch.sign * math.sqrt(_energy_sq(params, n, 1))
 
 
 def mode_1d(params: OscillatorParams, n: int, branch: Branch) -> Mode1D:
@@ -188,62 +192,100 @@ def _require_hermite(rule: QuadratureRule, min_count: int):
         )
 
 
+def _hermite_nodes(params: OscillatorParams, n_max: int, rule: QuadratureRule):
+    """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
+    factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
+    lam = params.lam
+    return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
+
+
+def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quadrature Gram matrix sum_k w_k t_i(x_k) t_j(x_k) of a basis table."""
+    return (table * weights) @ table.T
+
+
+def _coefficients(table: np.ndarray, weights: np.ndarray, values: np.ndarray, points, name: str) -> np.ndarray:
+    """Quadrature inner products sum_k w_k t_n(x_k) v_k of every basis row
+    with values sampled at the nodes; refuses non-finite samples."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(points[~finite][0])
+        raise IntegrandError(f"projected function is not finite at {name} = {bad!r}")
+    return table @ (weights * values)
+
+
+def _spectral_sum(table_a: np.ndarray, table_b: np.ndarray, denom=1.0) -> np.ndarray:
+    """sum_n a_n b_n / d_n down the order axis of two tables (either may be one
+    column): the closure kernel for d = 1, the Green's sum for d_n = E^2 - E_n^2.
+    Multiplying before dividing keeps the sum exactly symmetric in a and b."""
+    return np.sum(table_a * table_b / np.reshape(denom, (-1, 1)), axis=0)
+
+
+def _evaluate(coefficients: np.ndarray, table: np.ndarray, x):
+    """sum_n c_n t_n(x) in the shape of x; a float for scalar x."""
+    out = (coefficients @ table).reshape(np.shape(x))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _denominators(params: OscillatorParams, query, ell: int | None = None) -> np.ndarray:
+    """E^2 - E_n^2 over a Green's truncation window (levels n in 1D, shells
+    2 n_r + ell for a radial ell); PoleProximityError inside the pole guard."""
+    n = np.arange(query.truncation + 1)
+    esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
+    denom = query.probe_energy_sq - esq
+    worst = int(np.argmin(np.abs(denom)))
+    if abs(denom[worst]) < query.pole_guard:
+        raise PoleProximityError(worst, ell, distance=float(abs(denom[worst])), guard=query.pole_guard)
+    return denom
+
+
 def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
     """Matrix of inner products <psi_i, psi_j> for i, j <= n_max.
 
     Computed in the dimensionless variable xi = lambda x, where the
     integrand is polynomial times the Hermite weight, so a rule with
     count >= n_max + 1 is exact up to rounding and the result must be the
-    identity matrix.
+    identity matrix.  Entries with i + j odd are exactly zero.
     """
     _require_hermite(rule, n_max + 1)
-    table = hermite_function_table(n_max, rule.nodes)
-    wt = rule.modified_weights
-    gram = np.empty((n_max + 1, n_max + 1))
-    for i in range(n_max + 1):
-        wrow = wt * table[i]
-        for j in range(i, n_max + 1):
-            gram[i, j] = gram[j, i] = math.fsum(wrow * table[j])
+    # h_i h_j has parity (-1)^(i+j) and the rule is symmetric: fold it onto
+    # xi >= 0 (weights doubled, xi = 0 counted once) and zero the odd entries
+    half = rule.nodes >= 0.0
+    nodes = rule.nodes[half]
+    weights = np.where(nodes > 0.0, 2.0, 1.0) * rule.modified_weights[half]
+    gram = _gram(hermite_function_table(n_max, nodes), weights)
+    order = np.arange(n_max + 1)
+    gram[(order[:, None] + order) % 2 == 1] = 0.0
     return gram
 
 
 def closure_kernel_1d(params: OscillatorParams, N: int, x: float, x2: float) -> float:
-    """Truncated closure kernel K_N(x, x') = sum_{n<=N} psi_n(x) psi_n(x'),
-    accumulated with compensated summation."""
+    """Truncated closure kernel K_N(x, x') = sum_{n<=N} psi_n(x) psi_n(x')."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    table = _eigenfunction_table(params, N, np.array([x, x2]))
-    return math.fsum(table[:, 0] * table[:, 1])
+    table = _eigenfunction_table(params, N, [x, x2])
+    return float(_spectral_sum(table[:, :1], table[:, 1:])[0])
 
 
 def project_1d(params: OscillatorParams, N: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Coefficients c_n = <psi_n, f> for n = 0..N by Gauss-Hermite
     quadrature in xi = lambda x."""
     _require_hermite(rule, N + 1)
-    lam = params.lam
-    fx = np.array([float(f(x)) for x in rule.nodes / lam])
-    if not np.all(np.isfinite(fx)):
-        bad = rule.nodes[~np.isfinite(fx)][0] / lam
-        raise IntegrandError(f"projected function is not finite at x = {bad!r}")
-    table = hermite_function_table(N, rule.nodes)
-    wfx = rule.modified_weights * fx / math.sqrt(lam)
-    coeffs = np.array([math.fsum(table[n] * wfx) for n in range(N + 1)])
+    x, table, scale = _hermite_nodes(params, N, rule)
+    fx = np.array([float(f(p)) for p in x])
+    coeffs = _coefficients(table, rule.modified_weights / scale, fx, x, "x")
     return SpectralProjection(
         coefficients=coeffs, truncation=N, params=params, quadrature_count=rule.count
     )
 
 
 def reconstruct_1d(projection: SpectralProjection, x):
-    """Evaluate sum_n c_n psi_n(x) with compensated summation.
+    """Evaluate sum_n c_n psi_n(x).
 
     Accepts a scalar or an ndarray.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    table = _eigenfunction_table(projection.params, projection.truncation, arr)
-    c = projection.coefficients
-    out = np.array([math.fsum(c * table[:, j]) for j in range(arr.size)])
-    out = out.reshape(np.shape(x))
-    return float(out) if np.ndim(x) == 0 else out
+    table = _eigenfunction_table(projection.params, projection.truncation, x)
+    return _evaluate(projection.coefficients, table, x)
 
 
 def ode_residual_1d(params: OscillatorParams, n: int, grid, h: float) -> float:

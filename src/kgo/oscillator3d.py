@@ -30,8 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrandError, QuadratureError
-from .oscillator1d import Branch, OscillatorParams, SpectralProjection, SpectrumConvention
+from .errors import QuadratureError
+from .oscillator1d import (
+    Branch,
+    OscillatorParams,
+    SpectralProjection,
+    _coefficients,
+    _energy_sq,
+    _evaluate,
+    _gram,
+    _spectral_sum,
+)
 from .quadrature import GAUSS_LAGUERRE, QuadratureRule, gauss_legendre
 from .special import (
     AngularPoint,
@@ -108,8 +117,8 @@ class Point3:
     angular: AngularPoint
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
 
 
 def energy_3d(params: OscillatorParams, N: int, branch: Branch) -> float:
@@ -117,12 +126,7 @@ def energy_3d(params: OscillatorParams, N: int, branch: Branch) -> float:
     ode-derived E^2 = m^2 + 2 m w N, as-printed E^2 = m^2 + m w (2N + 3)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    m, w = params.mass, params.frequency
-    if params.convention is SpectrumConvention.ODE_DERIVED:
-        esq = m * m + 2.0 * m * w * N
-    else:
-        esq = m * m + m * w * (2 * N + 3)
-    return branch.sign * math.sqrt(esq)
+    return branch.sign * math.sqrt(_energy_sq(params, N, 3))
 
 
 def degeneracy(N: int) -> int:
@@ -161,11 +165,21 @@ def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
 
 def _radial_table(params: OscillatorParams, ell: int, n_max: int, r) -> np.ndarray:
     lam = params.lam
-    rho = np.atleast_1d(np.asarray(r, dtype=float)) ** 2 * lam * lam
+    rho = np.ravel(np.asarray(r, dtype=float)) ** 2 * lam * lam
     return math.sqrt(2.0 * lam) * rho**0.25 * laguerre_function_table(n_max, ell + 0.5, rho)
 
 
+def _radial_nodes(params: OscillatorParams, ell: int, n_max: int, rule: QuadratureRule):
+    """Nodes r_k = sqrt(rho_k) / lambda, the table lf_n(rho_k) for n <= n_max, and
+    s_k = sqrt(2 lambda) rho_k^(1/4): R_n(r_k) = s_k lf_n(rho_k) and, as
+    dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k)."""
+    lam = params.lam
+    table = laguerre_function_table(n_max, ell + 0.5, rule.nodes)
+    return np.sqrt(rule.nodes) / lam, table, math.sqrt(2.0 * lam) * rule.nodes**0.25
+
+
 def _require_laguerre(rule: QuadratureRule, ell: int, min_count: int):
+    _check_radial_order(min_count - 1, ell)
     if rule.family != GAUSS_LAGUERRE:
         raise QuadratureError(f"need a Gauss-Laguerre rule, got {rule.family}")
     if rule.alpha != ell + 0.5:
@@ -187,43 +201,25 @@ def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: Quadrature
     normalized Laguerre functions, so an alpha = ell + 1/2 rule with
     count >= n_max + 1 reproduces the identity up to rounding.
     """
-    _check_radial_order(n_max, ell)
     _require_laguerre(rule, ell, n_max + 1)
-    table = laguerre_function_table(n_max, ell + 0.5, rule.nodes)
-    wt = rule.modified_weights
-    gram = np.empty((n_max + 1, n_max + 1))
-    for i in range(n_max + 1):
-        wrow = wt * table[i]
-        for j in range(i, n_max + 1):
-            gram[i, j] = gram[j, i] = math.fsum(wrow * table[j])
-    return gram
+    return _gram(laguerre_function_table(n_max, ell + 0.5, rule.nodes), rule.modified_weights)
 
 
 def radial_closure_kernel(params: OscillatorParams, ell: int, N_max: int, r: float, r2: float) -> float:
-    """Truncated radial closure kernel sum_{n_r<=N_max} R(r) R(r'),
-    accumulated with compensated summation."""
+    """Truncated radial closure kernel sum_{n_r<=N_max} R(r) R(r')."""
     _check_radial_order(N_max, ell)
-    table = _radial_table(params, ell, N_max, np.array([r, r2]))
-    return math.fsum(table[:, 0] * table[:, 1])
+    table = _radial_table(params, ell, N_max, [r, r2])
+    return float(_spectral_sum(table[:, :1], table[:, 1:])[0])
 
 
 def project_radial(params: OscillatorParams, ell: int, N_max: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Radial coefficients c_{n_r} = integral R_{n_r ell} f dr for
     n_r = 0..N_max, by Gauss-Laguerre quadrature in rho."""
-    _check_radial_order(N_max, ell)
     _require_laguerre(rule, ell, N_max + 1)
-    lam = params.lam
-    r_nodes = np.sqrt(rule.nodes) / lam
-    fx = np.array([float(f(r)) for r in r_nodes])
-    if not np.all(np.isfinite(fx)):
-        bad = r_nodes[~np.isfinite(fx)][0]
-        raise IntegrandError(f"projected function is not finite at r = {bad!r}")
-    table = laguerre_function_table(N_max, ell + 0.5, rule.nodes)
-    # dr = drho / (2 lambda sqrt(rho)); R = sqrt(2 lambda) rho^(1/4) lf
-    wfx = rule.modified_weights * fx / (math.sqrt(2.0 * lam) * rule.nodes**0.25)
-    coeffs = np.array([math.fsum(table[n] * wfx) for n in range(N_max + 1)])
+    r, table, scale = _radial_nodes(params, ell, N_max, rule)
+    fx = np.array([float(f(p)) for p in r])
     return SpectralProjection(
-        coefficients=coeffs,
+        coefficients=_coefficients(table, rule.modified_weights / scale, fx, r, "r"),
         truncation=N_max,
         params=params,
         quadrature_count=rule.count,
@@ -232,18 +228,14 @@ def project_radial(params: OscillatorParams, ell: int, N_max: int, f, rule: Quad
 
 
 def reconstruct_radial(projection: SpectralProjection, r):
-    """Evaluate sum_{n_r} c_{n_r} R_{n_r ell}(r) with compensated summation.
+    """Evaluate sum_{n_r} c_{n_r} R_{n_r ell}(r).
 
     Accepts a scalar or an ndarray; the projection must carry its ell.
     """
     if projection.ell is None:
         raise ValueError("projection does not carry an ell sector")
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    table = _radial_table(projection.params, projection.ell, projection.truncation, arr)
-    c = projection.coefficients
-    out = np.array([math.fsum(c * table[:, j]) for j in range(arr.size)])
-    out = out.reshape(np.shape(r))
-    return float(out) if np.ndim(r) == 0 else out
+    table = _radial_table(projection.params, projection.ell, projection.truncation, r)
+    return _evaluate(projection.coefficients, table, r)
 
 
 def full_eigenfunction(params: OscillatorParams, mode: Mode3D, p: Point3) -> complex:

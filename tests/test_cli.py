@@ -329,6 +329,27 @@ def test_negative_mass_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--mass", "inf"],
+        ["spectrum", "--frequency", "nan"],
+        ["greens", "--energy-sq", "nan", "--x1", "0.1", "--x2", "0.2"],
+        ["greens", "--energy-sq", "2.5", "--x1", "inf", "--x2", "0.2"],
+        ["greens", "--energy-sq", "2.5", "--x1", "0.1", "--x2", "nan"],
+        ["orthonormality", "--n-max", "-1"],
+        ["greens", "--energy-sq", "2.5", "--x1", "0.1", "--x2", "0.2", "--n-max", "-1"],
+        ["closure", "--dimension", "1d", "--ell", "5"],
+        ["orthonormality", "--ell", "2"],
+    ],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "np.float64(" not in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "kgo.cli", "degeneracy", "--n-max", "1"],

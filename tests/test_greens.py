@@ -27,6 +27,10 @@ def test_query_validation():
         GreensQuery(1.0, -1, 0.1)
     with pytest.raises(ValueError):
         GreensQuery(1.0, 5, 0.0)
+    with pytest.raises(ValueError):
+        GreensQuery(math.nan, 5, 0.1)
+    with pytest.raises(ValueError):
+        GreensQuery(math.inf, 5, 0.1)
 
 
 def test_single_term_1d(unit_params):

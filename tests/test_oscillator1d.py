@@ -105,6 +105,10 @@ def test_params_validation():
         OscillatorParams(0.0, 1.0)
     with pytest.raises(ValueError):
         OscillatorParams(1.0, -2.0)
+    with pytest.raises(ValueError):
+        OscillatorParams(math.inf, 1.0)
+    with pytest.raises(ValueError):
+        OscillatorParams(1.0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +188,18 @@ def test_gram_identity(unit_params, gh32):
 
 def test_gram_parity_offdiagonal_exact_zero(unit_params, gh32):
     # symmetric nodes and mirrored weights cancel the odd integrand
-    # exactly under compensated summation, before any rounding residue
+    # exactly, before any rounding residue
     gram = gram_matrix_1d(unit_params, 1, gh32)
     assert gram[0, 1] == 0.0
+    gram = gram_matrix_1d(unit_params, 31, gh32)
+    order = np.arange(32)
+    assert np.all(gram[(order[:, None] + order) % 2 == 1] == 0.0)
+
+
+def test_gram_at_documented_limits(unit_params):
+    # orders up to 500 on the largest (512-node) rule
+    gram = gram_matrix_1d(unit_params, 500, gauss_hermite(512))
+    assert np.max(np.abs(gram - np.eye(501))) <= 1e-10
 
 
 def test_gram_lambda_independent(gh32):

@@ -110,6 +110,8 @@ def test_mode_validation():
         Mode3D(radial=radial_mode(0, 1), m=2)
     with pytest.raises(ValueError):
         Point3(-0.5, AngularPoint(0.1, 0.1))
+    with pytest.raises(ValueError):
+        Point3(math.inf, AngularPoint(0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +172,12 @@ def test_radial_gram_single(unit_params, laguerre_rule_cache):
 def test_radial_gram_identity(unit_params, laguerre_rule_cache):
     gram = radial_gram(unit_params, 3, 20, laguerre_rule_cache(64, 3.5))
     assert np.max(np.abs(gram - np.eye(21))) <= 1e-11
+
+
+def test_radial_gram_at_documented_limits(unit_params):
+    # ell = 64 and n_r = 200, the largest supported sector and order
+    gram = radial_gram(unit_params, 64, 200, gauss_laguerre(201, 64.5))
+    assert np.max(np.abs(gram - np.eye(201))) <= 1e-10
 
 
 def test_radial_gram_every_small_ell(unit_params, laguerre_rule_cache):
@@ -245,6 +253,14 @@ def test_reconstruct_radial_error_decreases(unit_params, laguerre_rule_cache):
         proj = project_radial(unit_params, ell, n, f, rule)
         errs.append(np.max(np.abs(reconstruct_radial(proj, grid) - ref)))
     assert errs[1] < errs[0]
+
+
+def test_reconstruct_radial_keeps_input_shape(unit_params, laguerre_rule_cache):
+    proj = project_radial(unit_params, 1, 6, lambda r: r * r * math.exp(-r * r), laguerre_rule_cache(16, 1.5))
+    grid = np.linspace(0.1, 3.0, 6)
+    flat = reconstruct_radial(proj, grid)
+    assert np.array_equal(reconstruct_radial(proj, grid.reshape(2, 3)), flat.reshape(2, 3))
+    assert reconstruct_radial(proj, 0.7) == reconstruct_radial(proj, np.array([0.7]))[0]
 
 
 def test_reconstruct_radial_requires_ell(unit_params, gh32):
