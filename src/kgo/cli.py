@@ -12,7 +12,8 @@ greens          truncated Green's function value plus the
                 coefficient-identity residual
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numeric contract violation (pole proximity, quadrature misuse).
+3 numeric contract violation (pole proximity, quadrature misuse, a
+non-finite value in the report, which is then not written).
 Output is deterministic: identical invocations produce identical bytes
 (no timestamps).  CSV is RFC-4180-style with a mandatory header row and
 17-significant-digit floats; JSON is a single object with
@@ -46,7 +47,6 @@ from .oscillator1d import (
     eigenfunction_1d,
     energy_1d,
     gram_matrix_1d,
-    nonrel_energy,
     project_1d,
     reconstruct_1d,
 )
@@ -61,7 +61,7 @@ from .oscillator3d import (
 )
 from .quadrature import gauss_hermite, gauss_laguerre
 
-__all__ = ["RunConfig", "KernelReport", "main", "build_parser", "TEST_FUNCTIONS_1D", "TEST_FUNCTIONS_RADIAL"]
+__all__ = ["RunConfig", "main", "build_parser", "TEST_FUNCTIONS_1D", "TEST_FUNCTIONS_RADIAL"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -89,23 +89,6 @@ class RunConfig:
     @property
     def params(self) -> OscillatorParams:
         return OscillatorParams(self.mass, self.frequency, self.convention)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Reconstruction errors of a closure experiment, one per truncation."""
-
-    dimension: str  # "1d" or "radial-ell<k>"
-    truncations: list[int]
-    test_function_id: str
-    errors: list[float]
-    grid_spec: str
-
-    def __post_init__(self):
-        if len(self.errors) != len(self.truncations):
-            raise ValueError("errors must parallel truncations")
-        if any(e < 0 for e in self.errors):
-            raise ValueError("errors must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +126,8 @@ TEST_FUNCTIONS_RADIAL = {
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -156,38 +141,46 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
-def _emit_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_escape(_fmt(cell)) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _write_output(config: RunConfig, text: str):
-    if config.output_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _UsageError(f"cannot write output to {config.output_path!r}: {exc}") from exc
-
-
 class _UsageError(Exception):
     pass
 
 
-def _config_payload(config: RunConfig) -> dict:
-    return {
-        "mass": config.mass,
-        "frequency": config.frequency,
-        "convention": config.convention.value,
-    }
+class _NonFiniteError(ArithmeticError):
+    pass
+
+
+def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple], fields: dict) -> int:
+    """Write one report and return its exit code.
+
+    CSV is ``header`` plus ``rows``; JSON is ``fields`` under the common
+    ``schema_version``/``command``/``config`` keys.  ``fields["passed"]``
+    (absent means passed) selects exit 0 or 1.  A non-finite float cell
+    raises before anything is written.
+    """
+    for row in rows:
+        for name, cell in zip(header, row):
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise _NonFiniteError(f"{name} is not finite")
+    if config.output_format is OutputFormat.CSV:
+        lines = [header] + [[_csv_escape(_fmt(cell)) for cell in row] for row in rows]
+        text = "".join(",".join(line) + "\n" for line in lines)
+    else:
+        payload = {
+            "schema_version": "1",
+            "command": command,
+            "config": {"mass": config.mass, "frequency": config.frequency, "convention": config.convention.value},
+            **fields,
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if config.output_path is None:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output to {config.output_path!r}: {exc}") from exc
+    return EXIT_OK if fields.get("passed", True) else EXIT_VERIFICATION
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +191,18 @@ def _config_payload(config: RunConfig) -> dict:
 def cmd_spectrum(config: RunConfig, dimension: str, n_max: int) -> int:
     """Energy table: both conventions, both branches, non-relativistic
     limit and the as-printed-minus-limit column."""
-    base = {
-        SpectrumConvention.ODE_DERIVED: OscillatorParams(
-            config.mass, config.frequency, SpectrumConvention.ODE_DERIVED
-        ),
-        SpectrumConvention.AS_PRINTED: OscillatorParams(
-            config.mass, config.frequency, SpectrumConvention.AS_PRINTED
-        ),
-    }
+    ode = OscillatorParams(config.mass, config.frequency, SpectrumConvention.ODE_DERIVED)
+    printed = OscillatorParams(config.mass, config.frequency, SpectrumConvention.AS_PRINTED)
+    energy, zero_point = (energy_1d, 0.5) if dimension == "1d" else (energy_3d, 1.5)
     rows = []
     for n in range(n_max + 1):
         for branch in (Branch.POSITIVE, Branch.NEGATIVE):
-            if dimension == "1d":
-                e_ode = energy_1d(base[SpectrumConvention.ODE_DERIVED], n, branch)
-                e_pr = energy_1d(base[SpectrumConvention.AS_PRINTED], n, branch)
-                e_nr = branch.sign * nonrel_energy(base[SpectrumConvention.ODE_DERIVED], n)
-            else:
-                e_ode = energy_3d(base[SpectrumConvention.ODE_DERIVED], n, branch)
-                e_pr = energy_3d(base[SpectrumConvention.AS_PRINTED], n, branch)
-                e_nr = branch.sign * (config.mass + config.frequency * (n + 1.5))
-            rows.append((n, branch.value, e_ode, e_pr, e_nr, e_pr - e_nr))
+            e_pr = energy(printed, n, branch)
+            e_nr = branch.sign * (config.mass + config.frequency * (n + zero_point))
+            rows.append((n, branch.value, energy(ode, n, branch), e_pr, e_nr, e_pr - e_nr))
     header = ["n", "branch", "energy_ode_derived", "energy_as_printed", "energy_nonrel", "printed_minus_nonrel"]
-    if config.output_format is OutputFormat.CSV:
-        _write_output(config, _emit_csv(header, rows))
-    else:
-        payload = {
-            "schema_version": "1",
-            "command": "spectrum",
-            "config": _config_payload(config),
-            "dimension": dimension,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_output(config, _emit_json(payload))
-    return EXIT_OK
+    fields = {"dimension": dimension, "rows": [dict(zip(header, row)) for row in rows]}
+    return _emit(config, "spectrum", header, rows, fields)
 
 
 def cmd_orthonormality(
@@ -245,33 +217,24 @@ def cmd_orthonormality(
     else:
         rule = gauss_laguerre(count, ell + 0.5)
         gram = radial_gram(params, ell, n_max, rule)
-    eye = np.eye(n_max + 1)
     diag_dev = float(np.max(np.abs(np.diag(gram) - 1.0)))
-    off = gram - np.diag(np.diag(gram))
-    off_dev = float(np.max(np.abs(off)))
+    off_dev = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     passed = max(diag_dev, off_dev) <= GRAM_GATE
     header = ["dimension", "ell", "n_max", "quad_count", "max_diag_deviation", "max_offdiag_deviation", "passed"]
-    row = (dimension, "" if ell is None else ell, n_max, rule.count, diag_dev, off_dev, passed)
-    if config.output_format is OutputFormat.CSV:
-        _write_output(config, _emit_csv(header, [row]))
-    else:
-        payload = {
-            "schema_version": "1",
-            "command": "orthonormality",
-            "config": _config_payload(config),
-            "dimension": dimension,
-            "ell": ell,
-            "n_max": n_max,
-            "quad_count": rule.count,
-            "max_diag_deviation": diag_dev,
-            "max_offdiag_deviation": off_dev,
-            "passed": passed,
-        }
-        _write_output(config, _emit_json(payload))
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    row = (dimension, ell, n_max, rule.count, diag_dev, off_dev, passed)
+    return _emit(config, "orthonormality", header, [row], dict(zip(header, row)))
 
 
-def _closure_report(config, dimension, ell, truncations, fn_id, quad_count) -> KernelReport:
+def cmd_closure(
+    config: RunConfig,
+    dimension: str,
+    ell: int | None,
+    truncations: list[int],
+    fn_id: str,
+    quad_count: int | None,
+) -> int:
+    """Reconstruction sup-errors per truncation; fails (exit 1) if the
+    error column is not non-increasing (within slack)."""
     params = config.params
     lam = params.lam
     count = quad_count if quad_count is not None else max(truncations) + 64
@@ -290,87 +253,33 @@ def _closure_report(config, dimension, ell, truncations, fn_id, quad_count) -> K
         expand = lambda n, grid: reconstruct_radial(project_radial(params, ell, n, f, rule), grid)
     grid = np.linspace(lo, 6.0 / lam, 101)
     reference = np.array([f(x) for x in grid])
-    return KernelReport(
-        dimension=label,
-        truncations=list(truncations),
-        test_function_id=fn_id,
-        errors=[float(np.max(np.abs(expand(n, grid) - reference))) for n in truncations],
-        grid_spec=f"uniform[{lo:.6g},{6.0 / lam:.6g}]n=101",
-    )
-
-
-def cmd_closure(
-    config: RunConfig,
-    dimension: str,
-    ell: int | None,
-    truncations: list[int],
-    fn_id: str,
-    quad_count: int | None,
-) -> int:
-    """Reconstruction sup-errors per truncation; fails (exit 1) if the
-    error column is not non-increasing (within slack)."""
-    report = _closure_report(config, dimension, ell, truncations, fn_id, quad_count)
-    passed = all(
-        later <= earlier + MONOTONE_SLACK
-        for earlier, later in zip(report.errors, report.errors[1:])
-    )
-    if config.output_format is OutputFormat.CSV:
-        header = ["dimension", "test_function", "truncation", "sup_error"]
-        rows = [
-            (report.dimension, report.test_function_id, n, e)
-            for n, e in zip(report.truncations, report.errors)
-        ]
-        _write_output(config, _emit_csv(header, rows))
-    else:
-        payload = {
-            "schema_version": "1",
-            "command": "closure",
-            "config": _config_payload(config),
-            "dimension": report.dimension,
-            "test_function": report.test_function_id,
-            "grid_spec": report.grid_spec,
-            "truncations": report.truncations,
-            "errors": report.errors,
-            "passed": passed,
-        }
-        _write_output(config, _emit_json(payload))
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    errors = [float(np.max(np.abs(expand(n, grid) - reference))) for n in truncations]
+    passed = all(later <= earlier + MONOTONE_SLACK for earlier, later in zip(errors, errors[1:]))
+    header = ["dimension", "test_function", "truncation", "sup_error"]
+    rows = [(label, fn_id, n, e) for n, e in zip(truncations, errors)]
+    fields = {
+        "dimension": label,
+        "test_function": fn_id,
+        "grid_spec": f"uniform[{lo:.6g},{6.0 / lam:.6g}]n=101",
+        "truncations": truncations,
+        "errors": errors,
+        "passed": passed,
+    }
+    return _emit(config, "closure", header, rows, fields)
 
 
 def cmd_degeneracy(config: RunConfig, n_max: int) -> int:
     """Shell table: modes, brute-force (2 ell + 1) sum, closed formula."""
     rows = []
-    all_match = True
     for N in range(n_max + 1):
         modes = shell_modes(N)
         brute = sum(2 * ell + 1 for _, ell in modes)
         formula = degeneracy(N)
-        match = brute == formula
-        all_match = all_match and match
         mode_str = " ".join(f"({n_r},{ell})" for n_r, ell in modes)
-        rows.append((N, mode_str, brute, formula, match))
+        rows.append((N, mode_str, brute, formula, brute == formula))
     header = ["N", "shell_modes", "sum_2ellp1", "formula", "match"]
-    if config.output_format is OutputFormat.CSV:
-        _write_output(config, _emit_csv(header, rows))
-    else:
-        payload = {
-            "schema_version": "1",
-            "command": "degeneracy",
-            "config": _config_payload(config),
-            "rows": [
-                {
-                    "N": N,
-                    "shell_modes": mode_str,
-                    "sum_2ellp1": brute,
-                    "formula": formula,
-                    "match": match,
-                }
-                for N, mode_str, brute, formula, match in rows
-            ],
-            "passed": all_match,
-        }
-        _write_output(config, _emit_json(payload))
-    return EXIT_OK if all_match else EXIT_VERIFICATION
+    fields = {"rows": [dict(zip(header, row)) for row in rows], "passed": all(row[-1] for row in rows)}
+    return _emit(config, "degeneracy", header, rows, fields)
 
 
 def cmd_greens(
@@ -400,26 +309,8 @@ def cmd_greens(
         )
     passed = deviation <= COEFF_GATE
     header = ["dimension", "ell", "energy_sq", "x1", "x2", "truncation", "value", "max_coefficient_deviation", "passed"]
-    row = (dimension, "" if ell is None else ell, energy_sq, x1, x2, n_max, value, deviation, passed)
-    if config.output_format is OutputFormat.CSV:
-        _write_output(config, _emit_csv(header, [row]))
-    else:
-        payload = {
-            "schema_version": "1",
-            "command": "greens",
-            "config": _config_payload(config),
-            "dimension": dimension,
-            "ell": ell,
-            "energy_sq": energy_sq,
-            "x1": x1,
-            "x2": x2,
-            "truncation": n_max,
-            "value": value,
-            "max_coefficient_deviation": deviation,
-            "passed": passed,
-        }
-        _write_output(config, _emit_json(payload))
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    row = (dimension, ell, energy_sq, x1, x2, n_max, value, deviation, passed)
+    return _emit(config, "greens", header, [row], dict(zip(header, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +431,7 @@ def main(argv=None) -> int:
     except PoleProximityError as exc:
         print(f"kgo: pole proximity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (QuadratureError, IntegrandError) as exc:
+    except (QuadratureError, IntegrandError, _NonFiniteError) as exc:
         print(f"kgo: numeric contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -1,6 +1,7 @@
 """CLI driver: table contents, report formats (CSV header/precision,
 JSON schema), exit-code contract, and byte-level determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,10 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kgo.cli import main
+from kgo.cli import TEST_FUNCTIONS_1D, TEST_FUNCTIONS_RADIAL, main
 
 CLOSURE_SCHEMA = {
     "type": "object",
@@ -47,6 +50,97 @@ CLOSURE_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["mass", "frequency", "convention"],
+    "properties": {
+        "mass": {"type": "number"},
+        "frequency": {"type": "number"},
+        "convention": {"enum": ["ode-derived", "as-printed"]},
+    },
+    "additionalProperties": False,
+}
+
+
+def _strict_object(properties):
+    return {
+        "type": "object",
+        "required": sorted(properties),
+        "properties": properties,
+        "additionalProperties": False,
+    }
+
+
+def _report_schema(command, **fields):
+    return _strict_object(
+        {"schema_version": {"const": "1"}, "command": {"const": command}, "config": CONFIG_SCHEMA, **fields}
+    )
+
+
+NUMBER = {"type": "number"}
+INTEGER = {"type": "integer"}
+BOOLEAN = {"type": "boolean"}
+OPTIONAL_ELL = {"type": ["integer", "null"], "minimum": 0}
+
+SPECTRUM_SCHEMA = _report_schema(
+    "spectrum",
+    dimension={"enum": ["1d", "3d"]},
+    rows={
+        "type": "array",
+        "items": _strict_object(
+            {
+                "n": {"type": "integer", "minimum": 0},
+                "branch": {"enum": ["positive", "negative"]},
+                "energy_ode_derived": NUMBER,
+                "energy_as_printed": NUMBER,
+                "energy_nonrel": NUMBER,
+                "printed_minus_nonrel": NUMBER,
+            }
+        ),
+    },
+)
+
+ORTHONORMALITY_SCHEMA = _report_schema(
+    "orthonormality",
+    dimension={"enum": ["1d", "radial"]},
+    ell=OPTIONAL_ELL,
+    n_max=INTEGER,
+    quad_count=INTEGER,
+    max_diag_deviation={"type": "number", "minimum": 0},
+    max_offdiag_deviation={"type": "number", "minimum": 0},
+    passed=BOOLEAN,
+)
+
+DEGENERACY_SCHEMA = _report_schema(
+    "degeneracy",
+    rows={
+        "type": "array",
+        "items": _strict_object(
+            {
+                "N": INTEGER,
+                "shell_modes": {"type": "string"},
+                "sum_2ellp1": INTEGER,
+                "formula": INTEGER,
+                "match": BOOLEAN,
+            }
+        ),
+    },
+    passed=BOOLEAN,
+)
+
+GREENS_SCHEMA = _report_schema(
+    "greens",
+    dimension={"enum": ["1d", "radial"]},
+    ell=OPTIONAL_ELL,
+    energy_sq=NUMBER,
+    x1=NUMBER,
+    x2=NUMBER,
+    truncation=INTEGER,
+    value=NUMBER,
+    max_coefficient_deviation={"type": "number", "minimum": 0},
+    passed=BOOLEAN,
+)
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +406,52 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, schema",
+    [
+        (["spectrum", "--n-max", "3"], SPECTRUM_SCHEMA),
+        (["spectrum", "--dimension", "3d", "--n-max", "2", "--convention", "as-printed"], SPECTRUM_SCHEMA),
+        (["orthonormality", "--n-max", "20"], ORTHONORMALITY_SCHEMA),
+        (["orthonormality", "--dimension", "radial", "--ell", "3", "--n-max", "20"], ORTHONORMALITY_SCHEMA),
+        (["degeneracy", "--n-max", "4"], DEGENERACY_SCHEMA),
+        (["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"], GREENS_SCHEMA),
+        (
+            ["greens", "--dimension", "radial", "--ell", "2", "--energy-sq", "9.7", "--x1", "0.7", "--x2", "1.1"],
+            GREENS_SCHEMA,
+        ),
+    ],
+)
+def test_json_report_validates_against_schema(capsys, argv, schema):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema)
+    assert payload["command"] == argv[0]
+
+
+def test_json_rows_match_csv_rows(capsys):
+    """JSON rows carry the CSV cells under the CSV header; an absent ell
+    is an empty CSV cell and a JSON null."""
+    for argv in (["spectrum", "--n-max", "2"], ["degeneracy", "--n-max", "3"], ["orthonormality", "--n-max", "5"]):
+        _, csv_out, _ = run_cli(capsys, *argv)
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        header, rows = parse_csv(csv_out)
+        payload = json.loads(json_out)
+        objects = payload.get("rows", [payload])
+        assert len(objects) == len(rows)
+        for obj, row in zip(objects, rows):
+            for key, cell in zip(header, row):
+                value = obj[key]
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, bool):
+                    assert cell == ("true" if value else "false")
+                elif isinstance(value, float):
+                    assert float(cell) == value
+                else:
+                    assert cell == str(value)
+
+
 def test_out_file_and_io_error(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, _, _ = run_cli(capsys, "degeneracy", "--n-max", "2", "--out", str(target))
@@ -348,6 +488,114 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "np.float64(" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_report_is_numeric_error(capsys, tmp_path, fmt):
+    """Energies that overflow are refused before any byte is written."""
+    argv = ["spectrum", "--mass", "1e200", "--n-max", "2", "--format", fmt]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "kgo: numeric contract violation: energy_ode_derived is not finite\n"
+    target = tmp_path / "report"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 3
+    assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz
+# ---------------------------------------------------------------------------
+
+
+MAGNITUDES = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.integers(-300, 300).map(lambda exponent: f"1e{exponent}"),
+    st.floats(-1e300, 1e300, allow_nan=False).map(repr),
+    st.sampled_from(["0", "1e-300", "1e300", "inf", "-inf", "nan", "1e400", "abc"]),
+)
+N_MAX = st.integers(-2, 60).map(str)
+QUAD_COUNT = st.integers(0, 128).map(str)
+TRUNCATIONS = st.one_of(
+    st.lists(st.integers(0, 60), min_size=1, max_size=4).map(lambda ts: ",".join(map(str, ts))),
+    st.sampled_from(["", "10,abc", "-1"]),
+)
+TEST_FUNCTION_IDS = sorted(TEST_FUNCTIONS_1D) + sorted(TEST_FUNCTIONS_RADIAL) + ["no-such-id"]
+RADIAL_OR_1D = st.sampled_from(["1d", "radial"])
+
+COMMON_OPTIONS = {
+    "--mass": MAGNITUDES,
+    "--frequency": MAGNITUDES,
+    "--convention": st.sampled_from(["ode-derived", "as-printed"]),
+}
+COMMAND_OPTIONS = {
+    "spectrum": {"--dimension": st.sampled_from(["1d", "3d"]), "--n-max": N_MAX},
+    "orthonormality": {"--dimension": RADIAL_OR_1D, "--n-max": N_MAX, "--quad-count": QUAD_COUNT},
+    "closure": {
+        "--dimension": RADIAL_OR_1D,
+        "--truncations": TRUNCATIONS,
+        "--test-function": st.sampled_from(TEST_FUNCTION_IDS),
+        "--quad-count": QUAD_COUNT,
+    },
+    "degeneracy": {"--n-max": N_MAX},
+    "greens": {
+        "--dimension": RADIAL_OR_1D,
+        "--energy-sq": MAGNITUDES,
+        "--x1": MAGNITUDES,
+        "--x2": MAGNITUDES,
+        "--n-max": N_MAX,
+        "--pole-guard": MAGNITUDES,
+        "--quad-count": QUAD_COUNT,
+    },
+}
+REQUIRED_OPTIONS = {"--energy-sq", "--x1", "--x2"}
+
+
+@st.composite
+def cli_argv(draw):
+    """Mostly well-formed argv: every option may be left out, values range
+    from ordinary to extreme, and --ell goes with --dimension radial in nine
+    draws of ten."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    for option, values in {**COMMON_OPTIONS, **COMMAND_OPTIONS[command]}.items():
+        if option in REQUIRED_OPTIONS or draw(st.booleans()):
+            argv.append(f"{option}={draw(values)}")
+    radial = "--dimension=radial" in argv
+    if command not in ("spectrum", "degeneracy") and radial != (draw(st.integers(0, 9)) == 0):
+        argv.append(f"--ell={draw(st.integers(-1, 70))}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON report contains {name}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=cli_argv(), fmt=st.sampled_from(["csv", "json"]))
+@example(argv=["spectrum", "--mass=1e200", "--n-max=2"], fmt="csv")
+def test_argv_fuzz_exit_codes_and_finite_output(argv, fmt):
+    """Any argv exits 0-3, and a run that exits 0 wrote only finite numbers."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--format", fmt])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        return
+    if fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return
+    for row in parse_csv(out.getvalue())[1]:
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (argv, row)
 
 
 def test_console_entry_point():
