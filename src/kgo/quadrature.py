@@ -139,7 +139,9 @@ def _polish(fn_df, lo, hi, f_lo_sign):
         hi = np.where(same_as_lo, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - f / df
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
+        # an iterate on a bracket end is kept: once a step lands on the
+        # root, that end is the root and the next iterate repeats it
+        bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         done = np.abs(xn - x) <= 8.0 * _EPS * np.maximum(1.0, np.abs(xn))
         x = xn

@@ -17,6 +17,7 @@ from kgo import (
     integrate,
     laguerre_function,
 )
+from kgo import quadrature
 from kgo.quadrature import MAX_NODES
 
 
@@ -270,6 +271,26 @@ def test_laguerre_node_residual(count, alpha):
     if count > 2:
         gaps[1:-1] = np.minimum(diffs[:-1], diffs[1:])
     assert np.all(np.abs(lf_k) <= 1e-10 * slope * gaps)
+
+
+@pytest.mark.parametrize(
+    "engine, build",
+    [("_hermite_engine", lambda: gauss_hermite(128)), ("_laguerre_engine", lambda: gauss_laguerre(144, 10.5))],
+)
+def test_polish_converges_by_newton(monkeypatch, engine, build):
+    """Each recurrence sweep costs O(count^2); a Newton polish needs a few,
+    where a polish that falls back to bisection after convergence runs
+    about 40 until the brackets shrink to eps."""
+    calls = []
+    original = getattr(quadrature, engine)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, engine, counted)
+    build()
+    assert len(calls) <= 15
 
 
 @pytest.mark.parametrize("count", [3, 8, 16, 33, 64])
