@@ -28,6 +28,7 @@ from .special import (
     _laguerre_engine,
     hermite_function_table,
     laguerre_function_table,
+    legendre_p,
 )
 
 __all__ = [
@@ -264,14 +265,6 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def _legendre_pair(count, x):
-    pkm1 = np.ones_like(x)
-    pk = x.copy()
-    for k in range(2, count + 1):
-        pkm1, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pkm1) / k
-    return pk, pkm1
-
-
 def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     """Gaussian rule for integral f(x) dx on [a, b] (affinely mapped
     Legendre rule)."""
@@ -287,7 +280,7 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         i = np.arange(count, dtype=float)
         x = np.cos(math.pi * (i + 0.75) / (count + 0.5))
         for _ in range(100):
-            pk, pkm1 = _legendre_pair(count, x)
+            pk, pkm1 = legendre_p(count, x), legendre_p(count - 1, x)
             dp = count * (pkm1 - x * pk) / (1.0 - x * x)
             dx = pk / dp
             x = x - dx
