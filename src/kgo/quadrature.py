@@ -107,7 +107,11 @@ def _check_count(count):
 
 
 def _bracket_by_scan(fn, lo, hi, n_roots, m0):
-    """Bracket n_roots sign changes of fn on (lo, hi) by grid refinement."""
+    """Bracket n_roots sign changes of fn on (lo, hi) by grid refinement.
+
+    Returns the lower and upper bracket ends and the sign of fn at the
+    lower ends.
+    """
     m = m0
     for _ in range(8):
         grid = np.linspace(lo, hi, m)
@@ -116,9 +120,10 @@ def _bracket_by_scan(fn, lo, hi, n_roots, m0):
             # nudge the grid rather than handling exact zeros
             grid = np.linspace(lo + 0.25 * (hi - lo) / m, hi, m)
             vals = fn(grid)
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        signs = np.sign(vals)
+        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
         if flips.size == n_roots:
-            return grid[flips], grid[flips + 1]
+            return grid[flips], grid[flips + 1], signs[flips]
         m *= 2
     raise RuntimeError(
         f"failed to bracket {n_roots} roots on ({lo}, {hi}); found {flips.size}"
@@ -130,7 +135,7 @@ def _polish(fn_df, lo, hi, f_lo_sign):
 
     fn_df(x) returns (f, df) up to a common per-point positive scale, so
     the Newton step f/df and the sign of f are exact even when the true
-    values over/underflow.
+    values over/underflow.  Returns the polished roots in ascending order.
     """
     x = 0.5 * (lo + hi)
     for _ in range(120):
@@ -148,7 +153,27 @@ def _polish(fn_df, lo, hi, f_lo_sign):
         x = xn
         if np.all(done):
             break
-    return x
+    return np.sort(x)
+
+
+def _christoffel_rule(family, nodes, table, log_weight, alpha=None):
+    """Rule from the Christoffel identity, given the table of normalized
+    weighted functions of orders 0..count-1 at the nodes and the log of the
+    family weight function there.  The modified weights are 1 / (column sum
+    of squares); the weights are those times the weight function."""
+    christoffel = np.sum(table * table, axis=0)
+    log_w = log_weight - np.log(christoffel)
+    with np.errstate(under="ignore"):
+        weights = np.exp(log_w)
+    return QuadratureRule(
+        family=family,
+        count=nodes.size,
+        nodes=_freeze(nodes),
+        weights=_freeze(weights),
+        log_weights=_freeze(log_w),
+        modified_weights=_freeze(1.0 / christoffel),
+        alpha=alpha,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +203,13 @@ def gauss_hermite(count: int) -> QuadratureRule:
             # h_K' = sqrt(2K) h_{K-1} - x h_K, same hidden scale
             return v, math.sqrt(2.0 * count) * vm1 - x * v
 
-        lo, hi = _bracket_by_scan(h_top, upper * 1e-9, upper, n_pos, 4 * count + 64)
-        f_lo_sign = np.sign(h_top(lo))
-        pos = _polish(h_pair, lo, hi, f_lo_sign)
-        pos.sort()
+        pos = _polish(h_pair, *_bracket_by_scan(h_top, upper * 1e-9, upper, n_pos, 4 * count + 64))
         if count % 2:
             nodes = np.concatenate([-pos[::-1], [0.0], pos])
         else:
             nodes = np.concatenate([-pos[::-1], pos])
 
-    table = hermite_function_table(count - 1, nodes)
-    christoffel = np.sum(table * table, axis=0)
-    modified = 1.0 / christoffel
-    log_w = -nodes * nodes - np.log(christoffel)
-    with np.errstate(under="ignore"):
-        weights = np.exp(log_w)
-    return QuadratureRule(
-        family=GAUSS_HERMITE,
-        count=count,
-        nodes=_freeze(nodes),
-        weights=_freeze(weights),
-        log_weights=_freeze(log_w),
-        modified_weights=_freeze(modified),
-    )
+    return _christoffel_rule(GAUSS_HERMITE, nodes, hermite_function_table(count - 1, nodes), -nodes * nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +246,10 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
 
     s_hi = math.sqrt(upper)
     m0 = max(128, 2 * int(math.ceil(upper)))
-    s_lo, s_hi_b = _bracket_by_scan(lf_top_s, s_hi * 1e-9, s_hi, count, m0)
-    lo, hi = s_lo * s_lo, s_hi_b * s_hi_b
-    f_lo_sign = np.sign(lf_top_s(s_lo))
-    nodes = _polish(lf_pair_rho, lo, hi, f_lo_sign)
-    nodes.sort()
-
+    s_lo, s_hi_b, f_lo_sign = _bracket_by_scan(lf_top_s, s_hi * 1e-9, s_hi, count, m0)
+    nodes = _polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign)
     table = laguerre_function_table(count - 1, alpha, nodes)
-    christoffel = np.sum(table * table, axis=0)
-    modified = 1.0 / christoffel
-    log_w = alpha * np.log(nodes) - nodes - np.log(christoffel)
-    with np.errstate(under="ignore"):
-        weights = np.exp(log_w)
-    return QuadratureRule(
-        family=GAUSS_LAGUERRE,
-        count=count,
-        nodes=_freeze(nodes),
-        weights=_freeze(weights),
-        log_weights=_freeze(log_w),
-        modified_weights=_freeze(modified),
-        alpha=alpha,
-    )
+    return _christoffel_rule(GAUSS_LAGUERRE, nodes, table, alpha * np.log(nodes) - nodes, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def sph_harm(ell: int, m: int, point: AngularPoint) -> complex:
     am = abs(m)
     x = math.cos(point.theta)
     sx = math.sin(point.theta)
-    nlm = _norm_assoc_legendre(ell, am, x, sx)
+    nlm = _norm_assoc_legendre_column(ell, am, x, sx)[ell - am]
     y = nlm * complex(math.cos(am * point.phi), math.sin(am * point.phi))
     if m < 0:
         y = (-1.0) ** am * y.conjugate()
@@ -393,10 +393,6 @@ def sph_harm_all(ell_max: int, point: AngularPoint) -> list[np.ndarray]:
                 row[ell - m] = (-1.0) ** m * y.conjugate()
         rows.append(row)
     return rows
-
-
-def _norm_assoc_legendre(ell, m, x, sx):
-    return _norm_assoc_legendre_column(ell, m, x, sx)[ell - m]
 
 
 def _norm_assoc_legendre_column(ell_max, m, x, sx):
