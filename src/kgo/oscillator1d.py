@@ -84,6 +84,8 @@ class OscillatorParams:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not 0 < self.frequency < math.inf:
             raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
+        if self.mass * self.frequency == 0.0:
+            raise ValueError(f"mass * frequency underflows to 0 (mass {self.mass}, frequency {self.frequency})")
 
     @property
     def lam(self) -> float:

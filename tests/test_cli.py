@@ -481,6 +481,7 @@ def test_negative_mass_is_usage_error(capsys):
         ["greens", "--energy-sq", "2.5", "--x1", "0.1", "--x2", "0.2", "--n-max", "-1"],
         ["closure", "--dimension", "1d", "--ell", "5"],
         ["orthonormality", "--ell", "2"],
+        ["closure", "--mass=1e-24", "--frequency=1e-300"],
     ],
 )
 def test_bad_input_is_usage_error(capsys, argv):
@@ -575,6 +576,7 @@ def _reject_constant(name):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=cli_argv(), fmt=st.sampled_from(["csv", "json"]))
 @example(argv=["spectrum", "--mass=1e200", "--n-max=2"], fmt="csv")
+@example(argv=["closure", "--mass=1e-24", "--frequency=1e-300"], fmt="csv")
 def test_argv_fuzz_exit_codes_and_finite_output(argv, fmt):
     """Any argv exits 0-3, and a run that exits 0 wrote only finite numbers."""
     out = io.StringIO()

@@ -109,6 +109,8 @@ def test_params_validation():
         OscillatorParams(math.inf, 1.0)
     with pytest.raises(ValueError):
         OscillatorParams(1.0, math.nan)
+    with pytest.raises(ValueError):
+        OscillatorParams(1e-24, 1e-300)
 
 
 # ---------------------------------------------------------------------------
