@@ -81,50 +81,12 @@ class AngularPoint:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
-# ---------------------------------------------------------------------------
-# log-gamma: Stirling-de Moivre series with upward shift.
-# ---------------------------------------------------------------------------
-
-# B_{2j} / (2j (2j-1)) for j = 1..8, with B = 1/6, -1/30, 1/42, -1/30,
-# 5/66, -691/2730, 7/6, -3617/510.  At x >= 10 the first omitted term is
-# below 2e-18, well under double rounding noise.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Stirling series at x >= 10; smaller arguments are shifted up with
-    log Gamma(x) = log Gamma(x + k) - sum log(x + j).  Accuracy is a few
-    ulp of the result (absolute error <= 1e-13 wherever |log Gamma| is
-    small enough for that to be representable).
-    """
+    """Natural log of Gamma(x) for x > 0 (the standard library's lgamma)."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < 10.0:
-        shift += math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = 0.0
-    power = inv
-    for c in _STIRLING_COEFFS:
-        series += c * power
-        power *= inv2
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series - shift
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
