@@ -12,7 +12,12 @@ evaluated through the bounded normalized functions, which gives both the
 ordinary weights (in log space, since extreme Hermite/Laguerre weights
 fall below the double range for very large rules) and the "modified"
 weights w_k / w(x_k) used to integrate functions that keep their
-exponential decay in the integrand.
+exponential decay in the integrand.  Gauss-Legendre weights use the
+closed form of the same identity,
+
+    w_k = 2 (1 - x_k^2) / (K (P_{K-1}(x_k) - x_k P_K(x_k)))^2,
+
+with the Legendre values from ``special.legendre_p``.
 """
 
 from __future__ import annotations
@@ -283,17 +288,8 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         if count % 2:
             ref[count // 2] = 0.0
 
-    # Christoffel weights via orthonormal Legendre p_j = sqrt(j+1/2) P_j
-    christoffel = np.zeros_like(ref)
-    pkm1 = np.ones_like(ref)
-    christoffel += 0.5 * pkm1 * pkm1
-    if count > 1:
-        pk = ref.copy()
-        christoffel += 1.5 * pk * pk
-        for k in range(2, count):
-            pkm1, pk = pk, ((2 * k - 1) * ref * pk - (k - 1) * pkm1) / k
-            christoffel += (k + 0.5) * pk * pk
-    ref_w = 1.0 / christoffel
+    pk, pkm1 = legendre_p(count, ref), legendre_p(count - 1, ref)
+    ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / (count * (pkm1 - ref * pk)) ** 2
 
     half = 0.5 * (b - a)
     nodes = a + half * (ref + 1.0)
