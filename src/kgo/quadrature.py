@@ -150,10 +150,11 @@ def _polish(fn_df, lo, hi, f_lo_sign):
         hi = np.where(same_as_lo, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - f / df
-        # an iterate on a bracket end is kept: once a step lands on the
-        # root, that end is the root and the next iterate repeats it
-        bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
+        # keep an iterate strictly inside the bracket, or one that repeats x
+        # (a step that landed on the root made it a bracket end); a step
+        # onto the far end at rounding-noise f would flip x between the ends
+        inside = ((xn > lo) & (xn < hi)) | (xn == x)
+        xn = np.where(inside, xn, 0.5 * (lo + hi))
         done = np.abs(xn - x) <= 8.0 * _EPS * np.maximum(1.0, np.abs(xn))
         x = xn
         if np.all(done):

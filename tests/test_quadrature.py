@@ -275,7 +275,12 @@ def test_laguerre_node_residual(count, alpha):
 
 @pytest.mark.parametrize(
     "engine, build",
-    [("_hermite_engine", lambda: gauss_hermite(128)), ("_laguerre_engine", lambda: gauss_laguerre(144, 10.5))],
+    [
+        ("_hermite_engine", lambda: gauss_hermite(128)),
+        ("_laguerre_engine", lambda: gauss_laguerre(144, 10.5)),
+        # a Newton step onto the far bracket end used to cycle to the cap
+        pytest.param("_laguerre_engine", lambda: gauss_laguerre(256, 0.5), id="laguerre-256-half"),
+    ],
 )
 def test_polish_converges_by_newton(monkeypatch, engine, build):
     """Each recurrence sweep costs O(count^2); a Newton polish needs a few,
