@@ -48,6 +48,12 @@ __all__ = [
 _RESCALE = 1e280
 _LOG_RESCALE = math.log(_RESCALE)
 
+# Points with |xi| or rho above this are 0 without running the recurrence:
+# there exp(-xi^2/2) or exp(-rho/2) puts every order the recurrence can
+# reach below the double range, and one step from a mantissa near _RESCALE
+# could overflow.
+_FAR_ARG = 1e28
+
 
 @dataclass(frozen=True)
 class PolyValue:
@@ -165,7 +171,9 @@ def _hermite_engine(n_max, xi, collect=None):
     Returns (v_n, v_{n-1}, s): mantissas of the top two orders sharing the
     per-point log offset s, so ratios of same-point values are exact.
     """
-    s = -0.5 * xi * xi - 0.25 * math.log(math.pi)
+    far = np.abs(xi) > _FAR_ARG
+    xi = np.where(far, 0.0, xi)
+    s = np.where(far, -np.inf, -0.5 * xi * xi - 0.25 * math.log(math.pi))
     vk = np.ones_like(xi)
     vkm1 = np.zeros_like(xi)
     if collect is not None:
@@ -279,7 +287,9 @@ def _laguerre_engine(n_max, alpha, rho, collect=None):
     A_k = (2k+1+alpha-rho)/sqrt((k+1)(k+1+alpha)) and
     B_k = sqrt(k(k+alpha)/((k+1)(k+1+alpha))).
     """
-    s = -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0)
+    far = rho > _FAR_ARG
+    rho = np.where(far, 1.0, rho)
+    s = np.where(far, -np.inf, -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0))
     vk = np.ones_like(rho)
     vkm1 = np.zeros_like(rho)
     if collect is not None:
