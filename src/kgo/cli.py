@@ -51,6 +51,7 @@ from .oscillator1d import (
     reconstruct_1d,
 )
 from .oscillator3d import (
+    MAX_ELL,
     degeneracy,
     energy_3d,
     project_radial,
@@ -386,8 +387,8 @@ def _run(args) -> int:
     ell = getattr(args, "ell", None)
     if (ell is None) == (getattr(args, "dimension", None) == "radial"):
         raise _UsageError("--ell is required with --dimension radial and accepted only there")
-    if ell is not None and ell < 0:
-        raise _UsageError("--ell must be >= 0")
+    if ell is not None and not 0 <= ell <= MAX_ELL:
+        raise _UsageError(f"--ell must lie in [0, {MAX_ELL}]")
 
     if args.command == "spectrum":
         return cmd_spectrum(config, args.dimension, args.n_max)
@@ -431,7 +432,7 @@ def main(argv=None) -> int:
     except PoleProximityError as exc:
         print(f"kgo: pole proximity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (QuadratureError, IntegrandError, _NonFiniteError) as exc:
+    except (QuadratureError, IntegrandError, OverflowError, _NonFiniteError) as exc:
         print(f"kgo: numeric contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -231,9 +231,12 @@ def _evaluate(coefficients: np.ndarray, table: np.ndarray, x):
 
 def _denominators(params: OscillatorParams, query, ell: int | None = None) -> np.ndarray:
     """E^2 - E_n^2 over a Green's truncation window (levels n in 1D, shells
-    2 n_r + ell for a radial ell); PoleProximityError inside the pole guard."""
+    2 n_r + ell for a radial ell); OverflowError if an E_n^2 is not finite,
+    PoleProximityError inside the pole guard."""
     n = np.arange(query.truncation + 1)
     esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
+    if not np.all(np.isfinite(esq)):
+        raise OverflowError("E_n^2 exceeds the double range")
     denom = query.probe_energy_sq - esq
     worst = int(np.argmin(np.abs(denom)))
     if abs(denom[worst]) < query.pole_guard:

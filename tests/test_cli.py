@@ -491,6 +491,24 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert "np.float64(" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["closure", "--mass=1e-24", "--frequency=1e-300"], 2),
+        (["orthonormality", "--dimension", "radial", "--ell", "200", "--n-max", "5"], 2),
+        (["greens", "--mass", "1e200", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"], 3),
+    ],
+)
+def test_rejected_input_writes_one_stderr_line(argv, code):
+    """Input is refused before any numpy warning or traceback reaches stderr.
+    capsys does not see warnings, so the CLI runs as a subprocess."""
+    proc = subprocess.run([sys.executable, "-m", "kgo.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("kgo: "), proc.stderr
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_report_is_numeric_error(capsys, tmp_path, fmt):
     """Energies that overflow are refused before any byte is written."""
