@@ -3,6 +3,7 @@ term-by-term series, extended-precision (mpmath), closed forms, and the
 symmetry/boundedness properties the recurrences must respect."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -107,6 +108,26 @@ def test_hermite_function_far_tail_against_mpmath():
 def test_hermite_function_contract_window_is_finite():
     vals = hermite_function(500, np.linspace(-30, 30, 41))
     assert np.all(np.isfinite(vals))
+
+
+def test_hermite_function_at_documented_limits_against_mpmath():
+    # order 500 at |lambda x| up to 30
+    for xi in (-30.0, -29.5, 0.0, 7.25, 29.5, 30.0):
+        oracle = float(hermite_function_oracle(500, xi))
+        assert abs(hermite_function(500, xi) - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_normalized_functions_vanish_at_huge_arguments():
+    # the true values lie far below the double range; one recurrence step
+    # from a large mantissa would overflow to inf or nan here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xi in (1e153, -1e153, 1e160, -1e160, 1e300, -1e300):
+            assert hermite_function(5, xi) == 0.0
+            assert np.all(hermite_function_table(5, [xi, 2 * xi]) == 0.0)
+        for rho in (1e153, 1e300):
+            assert laguerre_function(5, 0.5, rho) == 0.0
+            assert np.all(laguerre_function_table(5, 0.5, [rho, 2 * rho]) == 0.0)
 
 
 def test_hermite_recurrence_vs_series(rng):
