@@ -85,9 +85,7 @@ class QuadratureRule:
         if self.family == GAUSS_HERMITE:
             return math.sqrt(math.pi)
         if self.family == GAUSS_LAGUERRE:
-            from .special import log_gamma
-
-            return math.exp(log_gamma(self.alpha + 1.0))
+            return math.gamma(self.alpha + 1.0)
         a, b = self.interval
         return b - a
 
@@ -194,27 +192,22 @@ def gauss_hermite(count: int) -> QuadratureRule:
     identity through the normalized Hermite functions.
     """
     count = _check_count(count)
-    if count == 1:
-        nodes = np.array([0.0])
+    upper = math.sqrt(2.0 * count + 1.0) + 0.5
+
+    def h_top(x):
+        v, _, _ = _hermite_engine(count, x)
+        return v
+
+    def h_pair(x):
+        v, vm1, _ = _hermite_engine(count, x)
+        # h_K' = sqrt(2K) h_{K-1} - x h_K, same hidden scale
+        return v, math.sqrt(2.0 * count) * vm1 - x * v
+
+    pos = _polish(h_pair, *_bracket_by_scan(h_top, upper * 1e-9, upper, count // 2, 4 * count + 64))
+    if count % 2:
+        nodes = np.concatenate([-pos[::-1], [0.0], pos])
     else:
-        n_pos = count // 2
-        upper = math.sqrt(2.0 * count + 1.0) + 0.5
-
-        def h_top(x):
-            v, _, _ = _hermite_engine(count, x)
-            return v
-
-        def h_pair(x):
-            v, vm1, _ = _hermite_engine(count, x)
-            # h_K' = sqrt(2K) h_{K-1} - x h_K, same hidden scale
-            return v, math.sqrt(2.0 * count) * vm1 - x * v
-
-        pos = _polish(h_pair, *_bracket_by_scan(h_top, upper * 1e-9, upper, n_pos, 4 * count + 64))
-        if count % 2:
-            nodes = np.concatenate([-pos[::-1], [0.0], pos])
-        else:
-            nodes = np.concatenate([-pos[::-1], pos])
-
+        nodes = np.concatenate([-pos[::-1], pos])
     return _christoffel_rule(GAUSS_HERMITE, nodes, hermite_function_table(count - 1, nodes), -nodes * nodes)
 
 
@@ -271,23 +264,20 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     if not b > a:
         raise QuadratureError(f"interval must satisfy b > a, got [{a}, {b}]")
 
-    if count == 1:
-        ref = np.array([0.0])
-    else:
-        # classical cosine initial guess, then Newton
-        i = np.arange(count, dtype=float)
-        x = np.cos(math.pi * (i + 0.75) / (count + 0.5))
-        for _ in range(100):
-            pk, pkm1 = legendre_p(count, x), legendre_p(count - 1, x)
-            dp = count * (pkm1 - x * pk) / (1.0 - x * x)
-            dx = pk / dp
-            x = x - dx
-            if np.all(np.abs(dx) <= 4.0 * _EPS):
-                break
-        ref = np.sort(x)
-        ref = 0.5 * (ref - ref[::-1])  # enforce exact symmetry
-        if count % 2:
-            ref[count // 2] = 0.0
+    # classical cosine initial guess, then Newton
+    i = np.arange(count, dtype=float)
+    x = np.cos(math.pi * (i + 0.75) / (count + 0.5))
+    for _ in range(100):
+        pk, pkm1 = legendre_p(count, x), legendre_p(count - 1, x)
+        dp = count * (pkm1 - x * pk) / (1.0 - x * x)
+        dx = pk / dp
+        x = x - dx
+        if np.all(np.abs(dx) <= 4.0 * _EPS):
+            break
+    ref = np.sort(x)
+    ref = 0.5 * (ref - ref[::-1])  # enforce exact symmetry
+    if count % 2:
+        ref[count // 2] = 0.0
 
     pk, pkm1 = legendre_p(count, ref), legendre_p(count - 1, ref)
     ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / (count * (pkm1 - ref * pk)) ** 2

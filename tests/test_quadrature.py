@@ -337,6 +337,21 @@ def test_integrate_total_mass():
     )
 
 
+def test_total_mass_is_the_weight_integral():
+    rules = [
+        gauss_hermite(1),
+        gauss_hermite(4),
+        gauss_laguerre(1, 0.5),
+        gauss_laguerre(6, 0.5),
+        gauss_legendre(1, -1.0, 2.0),
+    ]
+    assert rules[0].total_mass == math.sqrt(math.pi)
+    assert rules[3].total_mass == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-15)
+    assert rules[4].total_mass == 3.0
+    for rule in rules:
+        assert math.fsum(rule.weights) == pytest.approx(rule.total_mass, rel=1e-14)
+
+
 def test_integrate_rejects_nan():
     rule = gauss_legendre(8, 0.0, 1.0)
     with pytest.raises(IntegrandError):
