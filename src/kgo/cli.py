@@ -12,8 +12,9 @@ greens          truncated Green's function value plus the
                 coefficient-identity residual
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numeric contract violation (pole proximity, quadrature misuse, a
-non-finite value in the report, which is then not written).
+3 numeric contract violation (pole proximity, quadrature misuse,
+overflowing energies, a non-finite value in the report, which is then
+not written).
 Output is deterministic: identical invocations produce identical bytes
 (no timestamps).  CSV is RFC-4180-style with a mandatory header row and
 17-significant-digit floats; JSON is a single object with
