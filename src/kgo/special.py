@@ -48,10 +48,10 @@ __all__ = [
 _RESCALE = 1e280
 _LOG_RESCALE = math.log(_RESCALE)
 
-# Points with |xi| or rho above this are 0 without running the recurrence:
-# there exp(-xi^2/2) or exp(-rho/2) puts every order the recurrence can
-# reach below the double range, and one step from a mantissa near _RESCALE
-# could overflow.
+# The engines give points with |xi| or rho above this the value 0 (log offset
+# -inf, recurrence run at a stand-in point): there exp(-xi^2/2) or
+# exp(-rho/2) puts every order the recurrence can reach below the double
+# range, and one step from a mantissa near _RESCALE could overflow.
 _FAR_ARG = 1e28
 
 
