@@ -279,6 +279,7 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     if count % 2:
         ref[count // 2] = 0.0
 
+    # (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels
     pk, pkm1 = legendre_p(count, ref), legendre_p(count - 1, ref)
     ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / (count * (pkm1 - ref * pk)) ** 2
 
