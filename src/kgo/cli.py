@@ -45,20 +45,23 @@ from .oscillator1d import (
     Branch,
     OscillatorParams,
     SpectrumConvention,
+    _coefficients,
+    _eigenfunction_table,
+    _hermite_nodes,
+    _require_hermite,
     eigenfunction_1d,
     energy_1d,
     gram_matrix_1d,
-    project_1d,
-    reconstruct_1d,
 )
 from .oscillator3d import (
     MAX_ELL,
+    _radial_nodes,
+    _radial_table,
+    _require_laguerre,
     degeneracy,
     energy_3d,
-    project_radial,
     radial_eigenfunction,
     radial_gram,
-    reconstruct_radial,
     shell_modes,
 )
 from .quadrature import gauss_hermite, gauss_laguerre
@@ -247,15 +250,31 @@ def cmd_closure(
         f = catalogue[fn_id][1](params)
         rule = gauss_hermite(count)
         lo, label = -6.0 / lam, "1d"
-        expand = lambda n, grid: reconstruct_1d(project_1d(params, n, f, rule), grid)
     else:
         f = catalogue[fn_id][1](params, ell)
         rule = gauss_laguerre(count, ell + 0.5)
         lo, label = 0.05 / lam, f"radial-ell{ell}"
-        expand = lambda n, grid: reconstruct_radial(project_radial(params, ell, n, f, rule), grid)
     grid = np.linspace(lo, 6.0 / lam, 101)
     reference = np.array([f(x) for x in grid])
-    errors = [float(np.max(np.abs(expand(n, grid) - reference))) for n in truncations]
+    # One node table and one grid table at the top truncation, checked once;
+    # each rung projects and reconstructs with their first n + 1 rows (a
+    # table's rows do not depend on its size), in the shapes that
+    # project_*/reconstruct_* use, so every rung rounds as they would.
+    top = max(truncations)
+    if dimension == "1d":
+        _require_hermite(rule, top + 1)
+        nodes, table, scale = _hermite_nodes(params, top, rule)
+        grid_table, name = _eigenfunction_table(params, top, grid), "x"
+    else:
+        _require_laguerre(rule, ell, top + 1)
+        nodes, table, scale = _radial_nodes(params, ell, top, rule)
+        grid_table, name = _radial_table(params, ell, top, grid), "r"
+    weights = rule.modified_weights / scale
+    samples = np.array([float(f(x)) for x in nodes])
+    errors = []
+    for n in truncations:
+        coefficients = _coefficients(table[: n + 1], weights, samples, nodes, name)
+        errors.append(float(np.max(np.abs(coefficients @ grid_table[: n + 1] - reference))))
     passed = all(later <= earlier + MONOTONE_SLACK for earlier, later in zip(errors, errors[1:]))
     header = ["dimension", "test_function", "truncation", "sup_error"]
     rows = [(label, fn_id, n, e) for n, e in zip(truncations, errors)]

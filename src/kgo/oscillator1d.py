@@ -161,12 +161,17 @@ def eigenfunction_1d(params: OscillatorParams, n: int, x):
     underflows to 0 (the Gaussian factor is below the double range).
     """
     lam = params.lam
-    return math.sqrt(lam) * hermite_function(n, np.asarray(x, dtype=float) * lam)
+    # lambda x may overflow to inf, where h_n is 0
+    with np.errstate(over="ignore"):
+        xi = np.asarray(x, dtype=float) * lam
+    return math.sqrt(lam) * hermite_function(n, xi)
 
 
 def _eigenfunction_table(params: OscillatorParams, n_max: int, x) -> np.ndarray:
     lam = params.lam
-    return math.sqrt(lam) * hermite_function_table(n_max, lam * np.atleast_1d(np.asarray(x, dtype=float)))
+    with np.errstate(over="ignore"):
+        xi = lam * np.atleast_1d(np.asarray(x, dtype=float))
+    return math.sqrt(lam) * hermite_function_table(n_max, xi)
 
 
 def fv_components(params: OscillatorParams, mode: Mode1D, x):

@@ -26,6 +26,7 @@ interfaces keep it that way.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,15 +159,24 @@ def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
     keeps every factor bounded.  Accepts a scalar or an ndarray.
     """
     _check_radial_order(n_r, ell)
-    lam = params.lam
-    rho = np.asarray(r, dtype=float) ** 2 * lam * lam
-    return math.sqrt(2.0 * lam) * rho**0.25 * laguerre_function(n_r, ell + 0.5, rho)
+    rho, factor = _radial_argument(params, r)
+    return factor * laguerre_function(n_r, ell + 0.5, rho)
 
 
 def _radial_table(params: OscillatorParams, ell: int, n_max: int, r) -> np.ndarray:
+    rho, factor = _radial_argument(params, np.ravel(r))
+    return factor * laguerre_function_table(n_max, ell + 0.5, rho)
+
+
+def _radial_argument(params: OscillatorParams, r):
+    """rho = lambda^2 r^2 and the factor sqrt(2 lambda) rho^(1/4) of
+    R(r) = factor * lf(rho).  A huge finite r overflows rho to inf, where lf
+    is 0; the factor is taken at the largest double instead, so R is 0 there
+    rather than inf * 0."""
     lam = params.lam
-    rho = np.ravel(np.asarray(r, dtype=float)) ** 2 * lam * lam
-    return math.sqrt(2.0 * lam) * rho**0.25 * laguerre_function_table(n_max, ell + 0.5, rho)
+    with np.errstate(over="ignore"):
+        rho = np.asarray(r, dtype=float) ** 2 * lam * lam
+    return rho, math.sqrt(2.0 * lam) * np.minimum(rho, sys.float_info.max) ** 0.25
 
 
 def _radial_nodes(params: OscillatorParams, ell: int, n_max: int, rule: QuadratureRule):

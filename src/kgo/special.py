@@ -13,16 +13,22 @@ production paths run recurrences on the *normalized* weighted functions
                 L_n^(alpha)(rho)
 
 whose values stay O(1) throughout the oscillatory region.  Each point
-additionally carries a base-e log offset that is adjusted on the fly, so
-the far tails (where even the normalized start values leave the double
-range) remain correct instead of flushing to zero prematurely.  Raw
-polynomial evaluators are kept for small degrees; scaled variants return
-a ``PolyValue`` mantissa/log pair once magnitudes exceed the double range.
+additionally carries a base-e log offset, so the far tails (where even the
+normalized start values leave the double range) remain correct instead of
+flushing to zero prematurely.  The offset is adjusted on a growth budget,
+not on every step: before each step the recurrence coefficients give a
+bound on how far any point's mantissa pair can move, and the pairs are
+rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
+only before a step that could take one of them out of the normal double
+range.  Raw polynomial evaluators are kept for small degrees; scaled
+variants return a ``PolyValue`` mantissa/log pair once magnitudes exceed
+the double range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +50,16 @@ __all__ = [
     "sph_harm_all",
 ]
 
-# Mantissas are renormalized into [1/_RESCALE, _RESCALE] as recurrences run.
-_RESCALE = 1e280
-_LOG_RESCALE = math.log(_RESCALE)
+# Mantissa pairs are renormalized into [1/_RESCALE, _RESCALE] as recurrences
+# run; a power of two, so a rescale of a normal double is exact.
+_RESCALE = 2.0**930
+_LOG_RESCALE = 930 * math.log(2.0)
+# Log growth or shrinkage a renormalized pair can take before it could leave
+# the normal double range: about 63.7 (shrinking, to the smallest normal
+# double) against 65.2 (growing, to the largest).
+_HEADROOM = min(
+    math.log(sys.float_info.max / _RESCALE), math.log(1.0 / (_RESCALE * sys.float_info.min))
+)
 
 # The engines give points with |xi| or rho above this the value 0 (log offset
 # -inf, recurrence run at a stand-in point): there exp(-xi^2/2) or
@@ -178,12 +191,16 @@ def _hermite_engine(n_max, xi, collect=None):
     vkm1 = np.zeros_like(xi)
     if collect is not None:
         collect(0, vk, s)
+    steps = np.arange(n_max)
+    a_max = np.max(np.abs(xi), initial=0.0) * np.sqrt(2.0 / (steps + 1))
+    rescale = _rescale_steps(a_max, np.sqrt(steps / (steps + 1.0)))
     for k in range(n_max):
+        if k in rescale:
+            vk, vkm1, s = _renormalize(vk, vkm1, s)
         vk, vkm1 = xi * math.sqrt(2.0 / (k + 1)) * vk - math.sqrt(k / (k + 1.0)) * vkm1, vk
-        vk, vkm1, s = _renormalize(vk, vkm1, s)
         if collect is not None:
             collect(k + 1, vk, s)
-    return vk, vkm1, s
+    return _renormalize(vk, vkm1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +276,12 @@ def laguerre_function_table(n_max: int, alpha: float, rho) -> np.ndarray:
         raise ValueError("rho must be >= 0")
     origin = arr == 0.0
     table = np.empty((n_max + 1, arr.size))
-    origin_value = _laguerre_origin_value(alpha)
 
     def collect(k, v, s):
         table[k] = _materialize(v, s)
-        table[k][origin] = origin_value
 
     _laguerre_engine(n_max, alpha, np.where(origin, 1.0, arr), collect)
+    table[:, origin] = _laguerre_origin_value(alpha)
     return table
 
 
@@ -294,14 +310,22 @@ def _laguerre_engine(n_max, alpha, rho, collect=None):
     vkm1 = np.zeros_like(rho)
     if collect is not None:
         collect(0, vk, s)
+    # |A_k| is largest at an end of the rho range, since A_k is linear in rho
+    steps = np.arange(n_max)
+    lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
+    c = 2 * steps + 1 + alpha
+    norm = (steps + 1) * (steps + 1 + alpha)
+    a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / np.sqrt(norm)
+    rescale = _rescale_steps(a_max, np.sqrt(steps * (steps + alpha) / norm))
     for k in range(n_max):
+        if k in rescale:
+            vk, vkm1, s = _renormalize(vk, vkm1, s)
         a = (2 * k + 1 + alpha - rho) / math.sqrt((k + 1) * (k + 1 + alpha))
         b = math.sqrt(k * (k + alpha) / ((k + 1) * (k + 1 + alpha)))
         vk, vkm1 = a * vk - b * vkm1, vk
-        vk, vkm1, s = _renormalize(vk, vkm1, s)
         if collect is not None:
             collect(k + 1, vk, s)
-    return vk, vkm1, s
+    return _renormalize(vk, vkm1, s)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +430,34 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must exceed -1, got {alpha}")
 
 
+def _rescale_steps(a_max, b):
+    """Steps k before which a recurrence v_{k+1} = a_k v_k - b_k v_{k-1},
+    with |a_k| <= a_max[k] at every point, renormalizes.
+
+    In one step max(|v_k|, |v_{k-1}|) grows by at most a_max + b and shrinks
+    by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
+    shrink).  The logs of these bounds are spent from a budget of _HEADROOM
+    that each renormalization refills, so no pair leaves the normal double
+    range.  A nan bound (a nan point) renormalizes before every step.
+    """
+    shrink = np.divide(2.0 * np.maximum(1.0, a_max), b, out=np.ones_like(b), where=b > 0.0)
+    steps, budget = set(), _HEADROOM
+    for k, growth in enumerate(np.log(np.maximum(a_max + b, shrink)).tolist()):
+        if not growth <= budget:
+            steps.add(k)
+            budget = _HEADROOM
+        budget -= growth
+    return steps
+
+
 def _renormalize(vk, vkm1, s):
-    """Pull mantissa pairs back into [1/_RESCALE, _RESCALE] per point."""
+    """Pull mantissa pairs back into [1/_RESCALE, _RESCALE] per point.
+
+    The engines call this only when their growth budget runs out and once
+    before returning; a pair then lies within one factor _RESCALE of that
+    range, and the power-of-two rescale changes no mantissa bit (unless it
+    takes the smaller value of a pair below the normal range).
+    """
     mag = np.maximum(np.abs(vk), np.abs(vkm1))
     big = mag > _RESCALE
     if np.any(big):
@@ -423,9 +473,8 @@ def _renormalize(vk, vkm1, s):
 
 
 def _materialize(v, s):
-    """v * exp(s) computed as exp(s + log|v|), safe for extreme offsets."""
-    out = np.zeros_like(v)
-    nz = v != 0.0
+    """v * exp(s) computed as sign(v) exp(s + log|v|), safe for extreme
+    offsets; 0 where v is 0 (np.sign keeps that 0 positive for a -0.0
+    mantissa, where np.copysign would not)."""
     with np.errstate(divide="ignore"):
-        out[nz] = np.sign(v[nz]) * np.exp(s[nz] + np.log(np.abs(v[nz])))
-    return out
+        return np.sign(v) * np.exp(s + np.log(np.abs(v)))

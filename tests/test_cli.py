@@ -509,6 +509,23 @@ def test_rejected_input_writes_one_stderr_line(argv, code):
     assert len(lines) == 1 and lines[0].startswith("kgo: "), proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["greens", "--dimension", "radial", "--ell", "1", "--energy-sq", "7.3", "--x1", "1e200", "--x2", "0.3"],
+        ["greens", "--mass", "1e100", "--energy-sq", "7.3", "--x1", "1e300", "--x2", "0.3"],
+    ],
+)
+def test_huge_finite_argument_reports_zero(argv):
+    """lambda x or lambda^2 r^2 overflows the double range; the eigenfunctions
+    are 0 there, so the Green's value is 0 and no numpy warning leaks."""
+    proc = subprocess.run([sys.executable, "-m", "kgo.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    row = dict(zip(*csv.reader(io.StringIO(proc.stdout))))
+    assert float(row["value"]) == 0.0
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_non_finite_report_is_numeric_error(capsys, tmp_path, fmt):
     """Energies that overflow are refused before any byte is written."""

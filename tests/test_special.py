@@ -27,6 +27,7 @@ from kgo import (
     log_gamma,
     sph_harm,
     sph_harm_all,
+    special,
 )
 
 mpmath.mp.dps = 60
@@ -128,6 +129,50 @@ def test_normalized_functions_vanish_at_huge_arguments():
         for rho in (1e153, 1e300):
             assert laguerre_function(5, 0.5, rho) == 0.0
             assert np.all(laguerre_function_table(5, 0.5, [rho, 2 * rho]) == 0.0)
+
+
+# every quarter decade from 1e-3 to 1e28, where the engines switch to 0
+SCALES = [10.0**k for k in np.arange(-3.0, 28.01, 0.25)] + [9.99e27]
+
+
+def test_tables_stay_finite_across_argument_scales():
+    """The renormalization budget holds for a point set of any magnitude: a
+    pair rescaled too late would overflow to inf or nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in SCALES:
+            assert np.all(np.isfinite(hermite_function_table(500, [x, -x]))), x
+            for alpha in (-0.9, -0.5, 0.0, 0.5, 10.5, 64.5):
+                assert np.all(np.isfinite(laguerre_function_table(200, alpha, [x]))), (x, alpha)
+
+
+def test_table_rows_do_not_depend_on_table_size():
+    """The first n + 1 rows of a table at N > n are the table at n, bit for
+    bit (the closure driver slices one table per rung)."""
+    xi = np.concatenate([np.linspace(-30.0, 30.0, 257), [-1e6, 1e-3, 45.0, 1e12]])
+    rho = np.concatenate([np.linspace(0.0, 900.0, 257), [1e-9, 1e6, 1e12]])
+    big_h = hermite_function_table(500, xi)
+    for n in (0, 1, 37, 250, 499):
+        assert big_h[: n + 1].tobytes() == hermite_function_table(n, xi).tobytes(), n
+    for alpha in (-0.5, 0.5, 64.5):
+        big_l = laguerre_function_table(200, alpha, rho)
+        for n in (0, 1, 37, 199):
+            assert big_l[: n + 1].tobytes() == laguerre_function_table(n, alpha, rho).tobytes(), (n, alpha)
+
+
+def test_renormalization_runs_on_a_budget(monkeypatch):
+    """The engines rescale only when the growth bound runs out (15 times for
+    this table), not on each of its 500 steps."""
+    calls = []
+    renormalize = special._renormalize
+
+    def counted(*args):
+        calls.append(1)
+        return renormalize(*args)
+
+    monkeypatch.setattr(special, "_renormalize", counted)
+    hermite_function_table(500, np.linspace(-30.0, 30.0, 512))
+    assert len(calls) <= 50
 
 
 def test_hermite_recurrence_vs_series(rng):
