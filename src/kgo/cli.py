@@ -46,18 +46,14 @@ from .oscillator1d import (
     OscillatorParams,
     SpectrumConvention,
     _coefficients,
-    _eigenfunction_table,
-    _hermite_nodes,
-    _require_hermite,
+    _Line,
     eigenfunction_1d,
     energy_1d,
     gram_matrix_1d,
 )
 from .oscillator3d import (
     MAX_ELL,
-    _radial_nodes,
-    _radial_table,
-    _require_laguerre,
+    _Radial,
     degeneracy,
     energy_3d,
     radial_eigenfunction,
@@ -247,12 +243,10 @@ def cmd_closure(
     if fn_id not in catalogue:
         raise _UsageError(f"unknown {dimension} test function {fn_id!r}; known ids: {sorted(catalogue)}")
     if dimension == "1d":
-        f = catalogue[fn_id][1](params)
-        rule = gauss_hermite(count)
+        sector, f, rule = _Line(params), catalogue[fn_id][1](params), gauss_hermite(count)
         lo, label = -6.0 / lam, "1d"
     else:
-        f = catalogue[fn_id][1](params, ell)
-        rule = gauss_laguerre(count, ell + 0.5)
+        sector, f, rule = _Radial(params, ell), catalogue[fn_id][1](params, ell), gauss_laguerre(count, ell + 0.5)
         lo, label = 0.05 / lam, f"radial-ell{ell}"
     grid = np.linspace(lo, 6.0 / lam, 101)
     reference = np.array([f(x) for x in grid])
@@ -261,19 +255,14 @@ def cmd_closure(
     # table's rows do not depend on its size), in the shapes that
     # project_*/reconstruct_* use, so every rung rounds as they would.
     top = max(truncations)
-    if dimension == "1d":
-        _require_hermite(rule, top + 1)
-        nodes, table, scale = _hermite_nodes(params, top, rule)
-        grid_table, name = _eigenfunction_table(params, top, grid), "x"
-    else:
-        _require_laguerre(rule, ell, top + 1)
-        nodes, table, scale = _radial_nodes(params, ell, top, rule)
-        grid_table, name = _radial_table(params, ell, top, grid), "r"
+    sector.require(rule, top + 1)
+    nodes, table, scale = sector.nodes(rule, top)
+    grid_table = sector.table(top, grid)
     weights = rule.modified_weights / scale
     samples = np.array([float(f(x)) for x in nodes])
     errors = []
     for n in truncations:
-        coefficients = _coefficients(table[: n + 1], weights, samples, nodes, name)
+        coefficients = _coefficients(table[: n + 1], weights, samples, nodes, sector.name)
         errors.append(float(np.max(np.abs(coefficients @ grid_table[: n + 1] - reference))))
     passed = all(later <= earlier + MONOTONE_SLACK for earlier, later in zip(errors, errors[1:]))
     header = ["dimension", "test_function", "truncation", "sup_error"]

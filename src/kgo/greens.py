@@ -23,12 +23,11 @@ from .oscillator1d import (
     OscillatorParams,
     _coefficients,
     _denominators,
-    _eigenfunction_table,
-    _hermite_nodes,
-    _require_hermite,
+    _Line,
+    _pair_sum,
     _spectral_sum,
 )
-from .oscillator3d import _radial_nodes, _radial_table, _require_laguerre
+from .oscillator3d import _Radial
 
 __all__ = [
     "GreensQuery",
@@ -59,9 +58,7 @@ class GreensQuery:
 
 def greens_1d(params: OscillatorParams, query: GreensQuery, x: float, x2: float) -> float:
     """Truncated 1D spectral Green's function at (x, x')."""
-    denom = _denominators(params, query)
-    table = _eigenfunction_table(params, query.truncation, [x, x2])
-    return float(_spectral_sum(table[:, :1], table[:, 1:], denom)[0])
+    return _pair_sum(_Line(params), query.truncation, x, x2, _denominators(params, query))
 
 
 def greens_3d_partial_wave(
@@ -69,9 +66,7 @@ def greens_3d_partial_wave(
 ) -> float:
     """Fixed-ell radial Green's function
     sum_{n_r<=N} R_{n_r ell}(r) R_{n_r ell}(r') / (E^2 - E_{2 n_r + ell}^2)."""
-    denom = _denominators(params, query, ell)
-    table = _radial_table(params, ell, query.truncation, [r, r2])
-    return float(_spectral_sum(table[:, :1], table[:, 1:], denom)[0])
+    return _pair_sum(_Radial(params, ell), query.truncation, r, r2, _denominators(params, query, ell))
 
 
 def coefficient_deviation_1d(
@@ -87,14 +82,7 @@ def coefficient_deviation_1d(
     element k exactly the k-th term's coefficient; this is the residual
     of that identity under quadrature.
     """
-    k_max = min(k_max, query.truncation)
-    denom = _denominators(params, query)
-    _require_hermite(rule, k_max + 1)
-    x, table, scale = _hermite_nodes(params, query.truncation, rule)
-    at_x2 = _eigenfunction_table(params, query.truncation, x2)
-    greens = _spectral_sum(scale * table, at_x2, denom)
-    coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, x, "x")
-    return float(np.max(np.abs(coeffs - at_x2[: k_max + 1, 0] / denom[: k_max + 1])))
+    return _coefficient_deviation(_Line(params), query, x2, rule, k_max)
 
 
 def coefficient_deviation_radial(
@@ -106,11 +94,15 @@ def coefficient_deviation_radial(
     k_max: int,
 ) -> float:
     """Radial analogue of :func:`coefficient_deviation_1d` at fixed ell."""
+    return _coefficient_deviation(_Radial(params, ell), query, r2, rule, k_max)
+
+
+def _coefficient_deviation(sector, query: GreensQuery, x2: float, rule: QuadratureRule, k_max: int) -> float:
     k_max = min(k_max, query.truncation)
-    denom = _denominators(params, query, ell)
-    _require_laguerre(rule, ell, k_max + 1)
-    r, table, scale = _radial_nodes(params, ell, query.truncation, rule)
-    at_r2 = _radial_table(params, ell, query.truncation, r2)
-    greens = _spectral_sum(scale * table, at_r2, denom)
-    coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, r, "r")
-    return float(np.max(np.abs(coeffs - at_r2[: k_max + 1, 0] / denom[: k_max + 1])))
+    denom = _denominators(sector.params, query, sector.ell)
+    sector.require(rule, k_max + 1)
+    points, table, scale = sector.nodes(rule, query.truncation)
+    at_x2 = sector.table(query.truncation, x2)
+    greens = _spectral_sum(scale * table, at_x2, denom)
+    coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, points, sector.name)
+    return float(np.max(np.abs(coeffs - at_x2[: k_max + 1, 0] / denom[: k_max + 1])))

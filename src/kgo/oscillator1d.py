@@ -167,13 +167,6 @@ def eigenfunction_1d(params: OscillatorParams, n: int, x):
     return math.sqrt(lam) * hermite_function(n, xi)
 
 
-def _eigenfunction_table(params: OscillatorParams, n_max: int, x) -> np.ndarray:
-    lam = params.lam
-    with np.errstate(over="ignore"):
-        xi = lam * np.atleast_1d(np.asarray(x, dtype=float))
-    return math.sqrt(lam) * hermite_function_table(n_max, xi)
-
-
 def fv_components(params: OscillatorParams, mode: Mode1D, x):
     """Feshbach-Villars components of the two-component state:
     phi = (1 + 1/E)/2 psi_n, chi = (1 - 1/E)/2 psi_n, so phi + chi = psi_n.
@@ -189,9 +182,7 @@ def fv_components(params: OscillatorParams, mode: Mode1D, x):
     return 0.5 * (1.0 + inv) * psi, 0.5 * (1.0 - inv) * psi
 
 
-def _require_hermite(rule: QuadratureRule, min_count: int):
-    if rule.family != GAUSS_HERMITE:
-        raise QuadratureError(f"need a Gauss-Hermite rule, got {rule.family}")
+def _require_count(rule: QuadratureRule, min_count: int):
     if rule.count < min_count:
         raise QuadratureError(
             f"rule has {rule.count} nodes but {min_count} are required for an "
@@ -199,11 +190,31 @@ def _require_hermite(rule: QuadratureRule, min_count: int):
         )
 
 
-def _hermite_nodes(params: OscillatorParams, n_max: int, rule: QuadratureRule):
-    """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
-    factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
-    lam = params.lam
-    return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
+@dataclass(frozen=True)
+class _Line:
+    """The 1D sector: psi_n(x) = sqrt(lambda) h_n(lambda x) on Gauss-Hermite
+    rules in xi = lambda x.  ``oscillator3d._Radial`` has the same interface."""
+
+    params: OscillatorParams
+    ell = None
+    name = "x"
+
+    def require(self, rule: QuadratureRule, min_count: int):
+        if rule.family != GAUSS_HERMITE:
+            raise QuadratureError(f"need a Gauss-Hermite rule, got {rule.family}")
+        _require_count(rule, min_count)
+
+    def nodes(self, rule: QuadratureRule, n_max: int):
+        """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
+        factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
+        lam = self.params.lam
+        return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
+
+    def table(self, n_max: int, x) -> np.ndarray:
+        lam = self.params.lam
+        with np.errstate(over="ignore"):
+            xi = lam * np.atleast_1d(np.asarray(x, dtype=float))
+        return math.sqrt(lam) * hermite_function_table(n_max, xi)
 
 
 def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -226,6 +237,26 @@ def _spectral_sum(table_a: np.ndarray, table_b: np.ndarray, denom=1.0) -> np.nda
     column): the closure kernel for d = 1, the Green's sum for d_n = E^2 - E_n^2.
     Multiplying before dividing keeps the sum exactly symmetric in a and b."""
     return np.sum(table_a * table_b / np.reshape(denom, (-1, 1)), axis=0)
+
+
+def _pair_sum(sector, n_max: int, x: float, x2: float, denom=1.0) -> float:
+    """sum_{n<=n_max} t_n(x) t_n(x') / d_n over a sector's functions t_n."""
+    table = sector.table(n_max, [x, x2])
+    return float(_spectral_sum(table[:, :1], table[:, 1:], denom)[0])
+
+
+def _project(sector, N: int, f, rule: QuadratureRule) -> SpectralProjection:
+    """Coefficients of f on a sector's functions t_0..t_N by quadrature."""
+    sector.require(rule, N + 1)
+    points, table, scale = sector.nodes(rule, N)
+    values = np.array([float(f(p)) for p in points])
+    return SpectralProjection(
+        coefficients=_coefficients(table, rule.modified_weights / scale, values, points, sector.name),
+        truncation=N,
+        params=sector.params,
+        quadrature_count=rule.count,
+        ell=sector.ell,
+    )
 
 
 def _evaluate(coefficients: np.ndarray, table: np.ndarray, x):
@@ -257,7 +288,7 @@ def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -
     count >= n_max + 1 is exact up to rounding and the result must be the
     identity matrix.  Entries with i + j odd are exactly zero.
     """
-    _require_hermite(rule, n_max + 1)
+    _Line(params).require(rule, n_max + 1)
     # h_i h_j has parity (-1)^(i+j) and the rule is symmetric: fold it onto
     # xi >= 0 (weights doubled, xi = 0 counted once) and zero the odd entries
     half = rule.nodes >= 0.0
@@ -273,20 +304,13 @@ def closure_kernel_1d(params: OscillatorParams, N: int, x: float, x2: float) -> 
     """Truncated closure kernel K_N(x, x') = sum_{n<=N} psi_n(x) psi_n(x')."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    table = _eigenfunction_table(params, N, [x, x2])
-    return float(_spectral_sum(table[:, :1], table[:, 1:])[0])
+    return _pair_sum(_Line(params), N, x, x2)
 
 
 def project_1d(params: OscillatorParams, N: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Coefficients c_n = <psi_n, f> for n = 0..N by Gauss-Hermite
     quadrature in xi = lambda x."""
-    _require_hermite(rule, N + 1)
-    x, table, scale = _hermite_nodes(params, N, rule)
-    fx = np.array([float(f(p)) for p in x])
-    coeffs = _coefficients(table, rule.modified_weights / scale, fx, x, "x")
-    return SpectralProjection(
-        coefficients=coeffs, truncation=N, params=params, quadrature_count=rule.count
-    )
+    return _project(_Line(params), N, f, rule)
 
 
 def reconstruct_1d(projection: SpectralProjection, x):
@@ -294,7 +318,7 @@ def reconstruct_1d(projection: SpectralProjection, x):
 
     Accepts a scalar or an ndarray.
     """
-    table = _eigenfunction_table(projection.params, projection.truncation, x)
+    table = _Line(projection.params).table(projection.truncation, x)
     return _evaluate(projection.coefficients, table, x)
 
 

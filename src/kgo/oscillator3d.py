@@ -36,11 +36,12 @@ from .oscillator1d import (
     Branch,
     OscillatorParams,
     SpectralProjection,
-    _coefficients,
     _energy_sq,
     _evaluate,
     _gram,
-    _spectral_sum,
+    _pair_sum,
+    _project,
+    _require_count,
 )
 from .quadrature import GAUSS_LAGUERRE, QuadratureRule, gauss_legendre
 from .special import (
@@ -163,11 +164,6 @@ def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
     return factor * laguerre_function(n_r, ell + 0.5, rho)
 
 
-def _radial_table(params: OscillatorParams, ell: int, n_max: int, r) -> np.ndarray:
-    rho, factor = _radial_argument(params, np.ravel(r))
-    return factor * laguerre_function_table(n_max, ell + 0.5, rho)
-
-
 def _radial_argument(params: OscillatorParams, r):
     """rho = lambda^2 r^2 and the factor sqrt(2 lambda) rho^(1/4) of
     R(r) = factor * lf(rho).  A huge finite r overflows rho to inf, where lf
@@ -179,29 +175,37 @@ def _radial_argument(params: OscillatorParams, r):
     return rho, math.sqrt(2.0 * lam) * np.minimum(rho, sys.float_info.max) ** 0.25
 
 
-def _radial_nodes(params: OscillatorParams, ell: int, n_max: int, rule: QuadratureRule):
-    """Nodes r_k = sqrt(rho_k) / lambda, the table lf_n(rho_k) for n <= n_max, and
-    s_k = sqrt(2 lambda) rho_k^(1/4): R_n(r_k) = s_k lf_n(rho_k) and, as
-    dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k)."""
-    lam = params.lam
-    table = laguerre_function_table(n_max, ell + 0.5, rule.nodes)
-    return np.sqrt(rule.nodes) / lam, table, math.sqrt(2.0 * lam) * rule.nodes**0.25
+@dataclass(frozen=True)
+class _Radial:
+    """The radial sector of one ell: R_n(r) = sqrt(2 lambda) rho^(1/4) lf_n(rho),
+    rho = lambda^2 r^2, on Gauss-Laguerre rules of alpha = ell + 1/2 in rho."""
 
+    params: OscillatorParams
+    ell: int
+    name = "r"
 
-def _require_laguerre(rule: QuadratureRule, ell: int, min_count: int):
-    _check_radial_order(min_count - 1, ell)
-    if rule.family != GAUSS_LAGUERRE:
-        raise QuadratureError(f"need a Gauss-Laguerre rule, got {rule.family}")
-    if rule.alpha != ell + 0.5:
-        raise QuadratureError(
-            f"rule has alpha = {rule.alpha} but the ell = {ell} sector requires "
-            f"alpha = {ell + 0.5}"
-        )
-    if rule.count < min_count:
-        raise QuadratureError(
-            f"rule has {rule.count} nodes but {min_count} are required for an "
-            "exact result; refusing to return a silently inexact value"
-        )
+    def require(self, rule: QuadratureRule, min_count: int):
+        _check_radial_order(min_count - 1, self.ell)
+        if rule.family != GAUSS_LAGUERRE:
+            raise QuadratureError(f"need a Gauss-Laguerre rule, got {rule.family}")
+        if rule.alpha != self.ell + 0.5:
+            raise QuadratureError(
+                f"rule has alpha = {rule.alpha} but the ell = {self.ell} sector requires "
+                f"alpha = {self.ell + 0.5}"
+            )
+        _require_count(rule, min_count)
+
+    def nodes(self, rule: QuadratureRule, n_max: int):
+        """Nodes r_k = sqrt(rho_k) / lambda, the table lf_n(rho_k) for n <= n_max, and
+        s_k = sqrt(2 lambda) rho_k^(1/4): R_n(r_k) = s_k lf_n(rho_k) and, as
+        dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k)."""
+        lam = self.params.lam
+        table = laguerre_function_table(n_max, self.ell + 0.5, rule.nodes)
+        return np.sqrt(rule.nodes) / lam, table, math.sqrt(2.0 * lam) * rule.nodes**0.25
+
+    def table(self, n_max: int, r) -> np.ndarray:
+        rho, factor = _radial_argument(self.params, np.ravel(r))
+        return factor * laguerre_function_table(n_max, self.ell + 0.5, rho)
 
 
 def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: QuadratureRule) -> np.ndarray:
@@ -211,30 +215,20 @@ def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: Quadrature
     normalized Laguerre functions, so an alpha = ell + 1/2 rule with
     count >= n_max + 1 reproduces the identity up to rounding.
     """
-    _require_laguerre(rule, ell, n_max + 1)
+    _Radial(params, ell).require(rule, n_max + 1)
     return _gram(laguerre_function_table(n_max, ell + 0.5, rule.nodes), rule.modified_weights)
 
 
 def radial_closure_kernel(params: OscillatorParams, ell: int, N_max: int, r: float, r2: float) -> float:
     """Truncated radial closure kernel sum_{n_r<=N_max} R(r) R(r')."""
     _check_radial_order(N_max, ell)
-    table = _radial_table(params, ell, N_max, [r, r2])
-    return float(_spectral_sum(table[:, :1], table[:, 1:])[0])
+    return _pair_sum(_Radial(params, ell), N_max, r, r2)
 
 
 def project_radial(params: OscillatorParams, ell: int, N_max: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Radial coefficients c_{n_r} = integral R_{n_r ell} f dr for
     n_r = 0..N_max, by Gauss-Laguerre quadrature in rho."""
-    _require_laguerre(rule, ell, N_max + 1)
-    r, table, scale = _radial_nodes(params, ell, N_max, rule)
-    fx = np.array([float(f(p)) for p in r])
-    return SpectralProjection(
-        coefficients=_coefficients(table, rule.modified_weights / scale, fx, r, "r"),
-        truncation=N_max,
-        params=params,
-        quadrature_count=rule.count,
-        ell=ell,
-    )
+    return _project(_Radial(params, ell), N_max, f, rule)
 
 
 def reconstruct_radial(projection: SpectralProjection, r):
@@ -244,7 +238,7 @@ def reconstruct_radial(projection: SpectralProjection, r):
     """
     if projection.ell is None:
         raise ValueError("projection does not carry an ell sector")
-    table = _radial_table(projection.params, projection.ell, projection.truncation, r)
+    table = _Radial(projection.params, projection.ell).table(projection.truncation, r)
     return _evaluate(projection.coefficients, table, r)
 
 
