@@ -96,28 +96,29 @@ class RunConfig:
 # test-function catalogue (fixed; no user expressions)
 # ---------------------------------------------------------------------------
 
-# 1D entries map id -> (description, factory(params) -> f(x)).
+# 1D entries map id -> (description, factory(params) -> f(x)); every f takes
+# a scalar or an ndarray, so closure samples a whole point set in one call.
 TEST_FUNCTIONS_1D = {
-    "gaussian": ("exp(-x^2)", lambda p: lambda x: math.exp(-x * x)),
-    "shifted-gaussian": ("exp(-(x-1)^2)", lambda p: lambda x: math.exp(-((x - 1.0) ** 2))),
+    "gaussian": ("exp(-x^2)", lambda p: lambda x: np.exp(-x * x)),
+    "shifted-gaussian": ("exp(-(x-1)^2)", lambda p: lambda x: np.exp(-((x - 1.0) ** 2))),
     "poly-gaussian": (
         "(1 + x + x^3) exp(-lambda^2 x^2/2), in the span of psi_0..psi_3",
-        lambda p: lambda x: (1.0 + x + x**3) * math.exp(-0.5 * p.lam**2 * x * x),
+        lambda p: lambda x: (1.0 + x + x**3) * np.exp(-0.5 * p.lam**2 * x * x),
     ),
-    "mode-3": ("psi_3 itself", lambda p: lambda x: float(eigenfunction_1d(p, 3, x))),
+    "mode-3": ("psi_3 itself", lambda p: lambda x: eigenfunction_1d(p, 3, x)),
 }
 
 # radial entries get the ell sector as well.
 TEST_FUNCTIONS_RADIAL = {
     "radial-gaussian": (
         "r^(ell+1) exp(-r^2)",
-        lambda p, ell: lambda r: r ** (ell + 1) * math.exp(-r * r),
+        lambda p, ell: lambda r: r ** (ell + 1) * np.exp(-r * r),
     ),
     "radial-poly-gaussian": (
         "r^(ell+1) (1 + r^2) exp(-lambda^2 r^2/2), span of R_0..R_1",
-        lambda p, ell: lambda r: r ** (ell + 1) * (1.0 + r * r) * math.exp(-0.5 * p.lam**2 * r * r),
+        lambda p, ell: lambda r: r ** (ell + 1) * (1.0 + r * r) * np.exp(-0.5 * p.lam**2 * r * r),
     ),
-    "rmode-2": ("R_{2,ell} itself", lambda p, ell: lambda r: float(radial_eigenfunction(p, 2, ell, r))),
+    "rmode-2": ("R_{2,ell} itself", lambda p, ell: lambda r: radial_eigenfunction(p, 2, ell, r)),
 }
 
 
@@ -249,7 +250,7 @@ def cmd_closure(
         sector, f, rule = _Radial(params, ell), catalogue[fn_id][1](params, ell), gauss_laguerre(count, ell + 0.5)
         lo, label = 0.05 / lam, f"radial-ell{ell}"
     grid = np.linspace(lo, 6.0 / lam, 101)
-    reference = np.array([f(x) for x in grid])
+    reference = f(grid)
     # One node table and one grid table at the top truncation, checked once;
     # each rung projects and reconstructs with their first n + 1 rows (a
     # table's rows do not depend on its size), in the shapes that
@@ -259,7 +260,7 @@ def cmd_closure(
     nodes, table, scale = sector.nodes(rule, top)
     grid_table = sector.table(top, grid)
     weights = rule.modified_weights / scale
-    samples = np.array([float(f(x)) for x in nodes])
+    samples = f(nodes)
     errors = []
     for n in truncations:
         coefficients = _coefficients(table[: n + 1], weights, samples, nodes, sector.name)
