@@ -316,8 +316,10 @@ def project_1d(params: OscillatorParams, N: int, f, rule: QuadratureRule) -> Spe
 def reconstruct_1d(projection: SpectralProjection, x):
     """Evaluate sum_n c_n psi_n(x).
 
-    Accepts a scalar or an ndarray.
+    Accepts a scalar or an ndarray; the projection must be a 1D one.
     """
+    if projection.ell is not None:
+        raise ValueError(f"projection carries the radial ell = {projection.ell} sector")
     table = _Line(projection.params).table(projection.truncation, x)
     return _evaluate(projection.coefficients, table, x)
 

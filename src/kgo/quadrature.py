@@ -60,7 +60,9 @@ class QuadratureRule:
 
     ``weights`` integrate against the family weight function; they are
     exp(``log_weights``) and can round to subnormal/zero at the extreme
-    nodes of very large Hermite/Laguerre rules (the log form is exact).
+    nodes of very large Hermite/Laguerre rules, or to inf for Laguerre
+    alpha >= about 171, where Gamma(alpha + 1) exceeds the double range
+    (the log form is exact).
     ``modified_weights`` are w_k / weightfn(x_k), for integrands that
     already contain the exponential decay; they are O(node spacing) for
     every supported rule size.
@@ -167,7 +169,8 @@ def _christoffel_rule(family, nodes, table, log_weight, alpha=None):
     of squares); the weights are those times the weight function."""
     christoffel = np.sum(table * table, axis=0)
     log_w = log_weight - np.log(christoffel)
-    with np.errstate(under="ignore"):
+    # beyond the double range a weight rounds to 0 or inf; log_w stays exact
+    with np.errstate(under="ignore", over="ignore"):
         weights = np.exp(log_w)
     return QuadratureRule(
         family=family,
@@ -258,11 +261,11 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
 
 def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     """Gaussian rule for integral f(x) dx on [a, b] (affinely mapped
-    Legendre rule)."""
+    Legendre rule); any finite a < b, up to the whole double range."""
     count = _check_count(count)
     a, b = float(a), float(b)
-    if not b > a:
-        raise QuadratureError(f"interval must satisfy b > a, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise QuadratureError(f"interval must be finite with b > a, got [{a}, {b}]")
 
     # classical cosine initial guess, then Newton
     i = np.arange(count, dtype=float)
@@ -283,8 +286,9 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     pk, pkm1 = legendre_p(count, ref), legendre_p(count - 1, ref)
     ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / (count * (pkm1 - ref * pk)) ** 2
 
-    half = 0.5 * (b - a)
-    nodes = a + half * (ref + 1.0)
+    # midpoint and half-width in halves, so b - a cannot overflow
+    half = 0.5 * b - 0.5 * a
+    nodes = (0.5 * a + 0.5 * b) + half * ref
     weights = ref_w * half
     log_w = np.log(weights)
     return QuadratureRule(

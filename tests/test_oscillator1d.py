@@ -333,6 +333,14 @@ def test_reconstruct_zero_projection(unit_params, gh32):
     assert reconstruct_1d(proj, 0.3) == 0.0
 
 
+def test_reconstruct_1d_refuses_radial_projection(unit_params, laguerre_rule_cache):
+    from kgo import project_radial
+
+    proj = project_radial(unit_params, 2, 4, lambda r: 0.0, laguerre_rule_cache(8, 2.5))
+    with pytest.raises(ValueError):
+        reconstruct_1d(proj, 1.0)
+
+
 def test_parseval_bound(unit_params, gh64):
     f = lambda x: math.exp(-((x - 0.5) ** 2))
     proj = project_1d(unit_params, 30, f, gh64)

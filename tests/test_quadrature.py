@@ -2,6 +2,7 @@
 and the reference implementations in numpy/scipy (oracle side only)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,37 @@ def test_structure_legendre(count, a, b):
     assert rule.nodes[0] > a and rule.nodes[-1] < b
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(b - a, rel=1e-14)
+
+
+def test_legendre_on_the_widest_interval():
+    # b - a overflows; the midpoint/half-width map must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_legendre(5, -1e308, 1e308)
+    unit = gauss_legendre(5, -1.0, 1.0)
+    assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
+    assert np.all(np.diff(rule.nodes) > 0)
+    assert rule.nodes[0] > -1e308 and rule.nodes[-1] < 1e308
+    assert np.array_equal(rule.nodes, 1e308 * unit.nodes)
+    assert np.array_equal(rule.weights, 1e308 * unit.weights)
+
+
+@pytest.mark.parametrize("a,b", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)])
+def test_legendre_refuses_non_finite_interval(a, b):
+    with pytest.raises(QuadratureError):
+        gauss_legendre(4, a, b)
+
+
+@pytest.mark.parametrize("alpha", [171.0, 200.0])
+def test_laguerre_weights_past_the_double_range(alpha):
+    # Gamma(alpha + 1) exceeds the double range: weights may round to inf,
+    # but the modified weights are finite and the log weights exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_laguerre(16, alpha)
+    assert np.all(np.isfinite(rule.modified_weights))
+    assert np.all(rule.modified_weights > 0)
+    assert scipy.special.logsumexp(rule.log_weights) == pytest.approx(math.lgamma(alpha + 1.0), rel=1e-13)
 
 
 def test_count_limits():
