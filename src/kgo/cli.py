@@ -190,14 +190,15 @@ def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple],
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(config: RunConfig, dimension: str, n_max: int) -> int:
+def cmd_spectrum(config: RunConfig, args) -> int:
     """Energy table: both conventions, both branches, non-relativistic
     limit and the as-printed-minus-limit column."""
+    dimension = args.dimension
     ode = OscillatorParams(config.mass, config.frequency, SpectrumConvention.ODE_DERIVED)
     printed = OscillatorParams(config.mass, config.frequency, SpectrumConvention.AS_PRINTED)
     energy, zero_point = (energy_1d, 0.5) if dimension == "1d" else (energy_3d, 1.5)
     rows = []
-    for n in range(n_max + 1):
+    for n in range(args.n_max + 1):
         for branch in (Branch.POSITIVE, Branch.NEGATIVE):
             e_pr = energy(printed, n, branch)
             e_nr = branch.sign * (config.mass + config.frequency * (n + zero_point))
@@ -207,12 +208,10 @@ def cmd_spectrum(config: RunConfig, dimension: str, n_max: int) -> int:
     return _emit(config, "spectrum", header, rows, fields)
 
 
-def cmd_orthonormality(
-    config: RunConfig, dimension: str, n_max: int, ell: int | None, quad_count: int | None
-) -> int:
+def cmd_orthonormality(config: RunConfig, args) -> int:
     """Gram-matrix deviation report; fails (exit 1) above the 1e-9 gate."""
-    params = config.params
-    count = quad_count if quad_count is not None else n_max + 1
+    params, dimension, ell, n_max = config.params, args.dimension, args.ell, args.n_max
+    count = args.quad_count if args.quad_count is not None else n_max + 1
     if dimension == "1d":
         rule = gauss_hermite(count)
         gram = gram_matrix_1d(params, n_max, rule)
@@ -227,19 +226,18 @@ def cmd_orthonormality(
     return _emit(config, "orthonormality", header, [row], dict(zip(header, row)))
 
 
-def cmd_closure(
-    config: RunConfig,
-    dimension: str,
-    ell: int | None,
-    truncations: list[int],
-    fn_id: str,
-    quad_count: int | None,
-) -> int:
+def cmd_closure(config: RunConfig, args) -> int:
     """Reconstruction sup-errors per truncation; fails (exit 1) if the
     error column is not non-increasing (within slack)."""
-    params = config.params
+    try:
+        truncations = [int(tok) for tok in args.truncations.split(",") if tok.strip()]
+    except ValueError:
+        raise _UsageError(f"bad --truncations value {args.truncations!r}") from None
+    if not truncations or any(t < 0 for t in truncations):
+        raise _UsageError("truncations must be non-negative integers")
+    params, dimension, ell, fn_id = config.params, args.dimension, args.ell, args.test_function
     lam = params.lam
-    count = quad_count if quad_count is not None else max(truncations) + 64
+    count = args.quad_count if args.quad_count is not None else max(truncations) + 64
     catalogue = TEST_FUNCTIONS_1D if dimension == "1d" else TEST_FUNCTIONS_RADIAL
     if fn_id not in catalogue:
         raise _UsageError(f"unknown {dimension} test function {fn_id!r}; known ids: {sorted(catalogue)}")
@@ -279,10 +277,10 @@ def cmd_closure(
     return _emit(config, "closure", header, rows, fields)
 
 
-def cmd_degeneracy(config: RunConfig, n_max: int) -> int:
+def cmd_degeneracy(config: RunConfig, args) -> int:
     """Shell table: modes, brute-force (2 ell + 1) sum, closed formula."""
     rows = []
-    for N in range(n_max + 1):
+    for N in range(args.n_max + 1):
         modes = shell_modes(N)
         brute = sum(2 * ell + 1 for _, ell in modes)
         formula = degeneracy(N)
@@ -293,22 +291,15 @@ def cmd_degeneracy(config: RunConfig, n_max: int) -> int:
     return _emit(config, "degeneracy", header, rows, fields)
 
 
-def cmd_greens(
-    config: RunConfig,
-    dimension: str,
-    ell: int | None,
-    energy_sq: float,
-    x1: float,
-    x2: float,
-    n_max: int,
-    pole_guard: float,
-    quad_count: int | None,
-) -> int:
+def cmd_greens(config: RunConfig, args) -> int:
     """Green's function value plus the coefficient-identity residual;
     fails (exit 1) above the 1e-9 gate, exit 3 on pole proximity."""
-    params = config.params
-    query = GreensQuery(probe_energy_sq=energy_sq, truncation=n_max, pole_guard=pole_guard)
-    count = quad_count if quad_count is not None else n_max + 16
+    x1, x2 = args.x1, args.x2
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise _UsageError("--x1 and --x2 must be finite")
+    params, dimension, ell, energy_sq, n_max = config.params, args.dimension, args.ell, args.energy_sq, args.n_max
+    query = GreensQuery(probe_energy_sq=energy_sq, truncation=n_max, pole_guard=args.pole_guard)
+    count = args.quad_count if args.quad_count is not None else n_max + 16
     k_max = min(10, n_max)
     if dimension == "1d":
         value = greens_1d(params, query, x1, x2)
@@ -347,37 +338,39 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=[f.value for f in OutputFormat], default="csv")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
+    # the rule-based commands work in one sector: 1D, or radial at one ell
+    sector = argparse.ArgumentParser(add_help=False)
+    sector.add_argument("--dimension", choices=["1d", "radial"], default="1d")
+    sector.add_argument("--ell", type=int, default=None)
+    sector.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common], help="energy table")
     sp.add_argument("--dimension", choices=["1d", "3d"], default="1d")
     sp.add_argument("--n-max", type=int, default=10)
+    sp.set_defaults(run=cmd_spectrum)
 
-    orth = sub.add_parser("orthonormality", parents=[common], help="Gram-matrix check")
-    orth.add_argument("--dimension", choices=["1d", "radial"], default="1d")
+    orth = sub.add_parser("orthonormality", parents=[common, sector], help="Gram-matrix check")
     orth.add_argument("--n-max", type=int, default=50)
-    orth.add_argument("--ell", type=int, default=None)
-    orth.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
+    orth.set_defaults(run=cmd_orthonormality)
 
-    clo = sub.add_parser("closure", parents=[common], help="weak-closure reconstruction ladder")
-    clo.add_argument("--dimension", choices=["1d", "radial"], default="1d")
-    clo.add_argument("--ell", type=int, default=None)
+    clo = sub.add_parser("closure", parents=[common, sector], help="weak-closure reconstruction ladder")
     clo.add_argument("--truncations", default="10,20,40", help="comma-separated truncation orders")
     clo.add_argument("--test-function", default="gaussian", help="catalogue id (see README)")
-    clo.add_argument("--quad-count", type=int, default=None)
+    clo.set_defaults(run=cmd_closure)
 
     deg = sub.add_parser("degeneracy", parents=[common], help="shell degeneracy table")
     deg.add_argument("--n-max", type=int, default=10)
+    deg.set_defaults(run=cmd_degeneracy)
 
-    gre = sub.add_parser("greens", parents=[common], help="spectral Green's function")
-    gre.add_argument("--dimension", choices=["1d", "radial"], default="1d")
-    gre.add_argument("--ell", type=int, default=None)
+    gre = sub.add_parser("greens", parents=[common, sector], help="spectral Green's function")
     gre.add_argument("--energy-sq", type=float, required=True, help="probe energy squared")
     gre.add_argument("--x1", type=float, required=True, help="first position (radius for radial)")
     gre.add_argument("--x2", type=float, required=True, help="second position (radius for radial)")
     gre.add_argument("--n-max", type=int, default=25)
     gre.add_argument("--pole-guard", type=float, default=1e-6)
-    gre.add_argument("--quad-count", type=int, default=None)
+    gre.set_defaults(run=cmd_greens)
     return parser
 
 
@@ -399,36 +392,7 @@ def _run(args) -> int:
         raise _UsageError("--ell is required with --dimension radial and accepted only there")
     if ell is not None and not 0 <= ell <= MAX_ELL:
         raise _UsageError(f"--ell must lie in [0, {MAX_ELL}]")
-
-    if args.command == "spectrum":
-        return cmd_spectrum(config, args.dimension, args.n_max)
-    if args.command == "orthonormality":
-        return cmd_orthonormality(config, args.dimension, args.n_max, ell, args.quad_count)
-    if args.command == "closure":
-        try:
-            truncations = [int(tok) for tok in args.truncations.split(",") if tok.strip()]
-        except ValueError:
-            raise _UsageError(f"bad --truncations value {args.truncations!r}") from None
-        if not truncations or any(t < 0 for t in truncations):
-            raise _UsageError("truncations must be non-negative integers")
-        return cmd_closure(config, args.dimension, ell, truncations, args.test_function, args.quad_count)
-    if args.command == "degeneracy":
-        return cmd_degeneracy(config, args.n_max)
-    if args.command == "greens":
-        if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
-            raise _UsageError("--x1 and --x2 must be finite")
-        return cmd_greens(
-            config,
-            args.dimension,
-            ell,
-            args.energy_sq,
-            args.x1,
-            args.x2,
-            args.n_max,
-            args.pole_guard,
-            args.quad_count,
-        )
-    raise _UsageError(f"unknown command {args.command!r}")
+    return args.run(config, args)
 
 
 def main(argv=None) -> int:
