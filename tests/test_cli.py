@@ -497,6 +497,12 @@ def test_bad_input_is_usage_error(capsys, argv):
         (["closure", "--mass=1e-24", "--frequency=1e-300"], 2),
         (["orthonormality", "--dimension", "radial", "--ell", "200", "--n-max", "5"], 2),
         (["greens", "--mass", "1e200", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"], 3),
+        (["closure", "--mass", "1e-200", "--test-function", "poly-gaussian", "--truncations", "3,8,30,12"], 3),
+        (
+            ["closure", "--dimension", "radial", "--ell", "64", "--mass", "1e-20",
+             "--test-function", "radial-gaussian", "--truncations", "0,5,40"],
+            3,
+        ),
     ],
 )
 def test_rejected_input_writes_one_stderr_line(argv, code):
