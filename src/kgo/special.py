@@ -20,9 +20,10 @@ not on every step: before each step the recurrence coefficients give a
 bound on how far any point's mantissa pair can move, and the pairs are
 rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
 only before a step that could take one of them out of the normal double
-range.  Raw polynomial evaluators are kept for small degrees; scaled
-variants return a ``PolyValue`` mantissa/log pair once magnitudes exceed
-the double range.
+range.  The raw polynomials run their plain recurrences with the pair
+renormalized by a power of two at every step and the exponent counted
+apart; ``*_poly`` returns the float (OverflowError outside the double
+range), ``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -120,34 +121,31 @@ def hermite_poly(n: int, xi: float) -> float:
     Raises OverflowError once values leave the double range (large n or
     |xi|); use :func:`hermite_function` for the normalized, bounded form.
     """
-    _check_degree(n)
     xi = float(xi)
-    hkm1, hk = 0.0, 1.0
-    for k in range(n):
-        hkm1, hk = hk, 2.0 * xi * hk - 2.0 * k * hkm1
-    if not math.isfinite(hk):
-        raise OverflowError(
-            f"H_{n}({xi}) exceeds the double range; use hermite_function "
-            "for the normalized evaluation"
-        )
-    return hk
+    return _as_float(*_hermite_raw(n, xi), f"H_{n}({xi})", "hermite_function")
 
 
 def hermite_poly_scaled(n: int, xi: float) -> PolyValue:
-    """H_n(xi) as a PolyValue, valid far beyond the raw double range.
+    """H_n(xi) as a PolyValue, valid for every finite xi: a plain float
+    where H_n(xi) is a normal double, else a mantissa and a log offset."""
+    return _poly_value(*_hermite_raw(n, xi))
 
-    Uses H_n = h_n * sqrt(sqrt(pi) 2^n n!) * exp(xi^2/2) with the bounded
-    normalized recurrence supplying the mantissa.
+
+def _hermite_raw(n, xi):
+    """(m, e) with H_n(xi) = m 2^e, for finite xi.
+
+    The recurrence runs on q_k = H_k / 2^k, q_{k+1} = xi q_k - k q_{k-1} / 2,
+    which rounds exactly as the raw one (the two differ by powers of two)
+    but never forms 2 xi; the pair is renormalized by a power of two at
+    every step, so no |xi| below the largest double overflows it.
     """
     _check_degree(n)
-    xi = float(xi)
-    v, _, s = _hermite_engine(n, np.asarray([xi]))
-    # restores sqrt(sqrt(pi) 2^n n!) and the Gaussian half-weight
-    log_norm = 0.5 * (0.5 * math.log(math.pi) + n * math.log(2.0) + log_gamma(n + 1.0))
-    mant = float(v[0])
-    if mant == 0.0:
-        return PolyValue(0.0, 0.0)
-    return PolyValue(mant, float(s[0]) + log_norm + 0.5 * xi * xi)
+    xi = _check_finite(xi)
+    qkm1, qk, e = 0.0, 1.0, n
+    for k in range(n):
+        qkm1, qk = qk, xi * qk - 0.5 * k * qkm1
+        qk, qkm1, e = _rescale_pair(qk, qkm1, e)
+    return qk, e
 
 
 def hermite_function(n: int, xi):
@@ -216,31 +214,31 @@ def laguerre_poly(n: int, alpha: float, rho: float) -> float:
     rho = float(rho)
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    lkm1, lk = 0.0, 1.0
-    for k in range(n):
-        lkm1, lk = lk, ((2 * k + 1 + alpha - rho) * lk - (k + alpha) * lkm1) / (k + 1)
-    if not math.isfinite(lk):
-        raise OverflowError(
-            f"L_{n}^({alpha})({rho}) exceeds the double range; use "
-            "laguerre_function for the normalized evaluation"
-        )
-    return lk
+    return _as_float(*_laguerre_raw(n, alpha, rho), f"L_{n}^({alpha})({rho})", "laguerre_function")
 
 
 def laguerre_poly_scaled(n: int, alpha: float, rho: float) -> PolyValue:
-    """L_n^(alpha)(rho) as a PolyValue (mantissa from the normalized
-    recurrence, weight and norm restored in the log offset)."""
+    """L_n^(alpha)(rho) as a PolyValue, valid for every finite rho > 0: a
+    plain float where it is a normal double, else a mantissa and a log
+    offset."""
     _check_degree(n)
     _check_alpha(alpha)
     rho = float(rho)
     if rho <= 0.0:
         raise ValueError("scaled Laguerre evaluation requires rho > 0")
-    v, _, s = _laguerre_engine(n, alpha, np.asarray([rho]))
-    log_norm = 0.5 * (log_gamma(n + alpha + 1.0) - log_gamma(n + 1.0))
-    mant = float(v[0])
-    if mant == 0.0:
-        return PolyValue(0.0, 0.0)
-    return PolyValue(mant, float(s[0]) + log_norm + 0.5 * rho - 0.5 * alpha * math.log(rho))
+    return _poly_value(*_laguerre_raw(n, alpha, rho))
+
+
+def _laguerre_raw(n, alpha, rho):
+    """(m, e) with L_n^(alpha)(rho) = m 2^e for finite alpha and rho, by
+    the raw recurrence with the pair renormalized by a power of two at
+    every step."""
+    alpha, rho = _check_finite(alpha), _check_finite(rho)
+    lkm1, lk, e = 0.0, 1.0, 0
+    for k in range(n):
+        lkm1, lk = lk, ((2 * k + 1 + alpha - rho) * lk - (k + alpha) * lkm1) / (k + 1)
+        lk, lkm1, e = _rescale_pair(lk, lkm1, e)
+    return lk, e
 
 
 def laguerre_function(n: int, alpha: float, rho):
@@ -428,6 +426,39 @@ def _check_degree(n):
 def _check_alpha(alpha):
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
+
+
+def _check_finite(x):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"argument must be finite, got {x}")
+    return x
+
+
+def _rescale_pair(vk, vkm1, e):
+    """Scale a raw recurrence pair by the power of two that puts its larger
+    magnitude in [1/2, 1), moving that power into the exponent e."""
+    shift = math.frexp(max(abs(vk), abs(vkm1)))[1]
+    return math.ldexp(vk, -shift), math.ldexp(vkm1, -shift), e + shift
+
+
+def _as_float(m, e, what, fallback):
+    """m 2^e as a float; OverflowError naming the normalized evaluator."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise OverflowError(
+            f"{what} exceeds the double range; use {fallback} for the normalized evaluation"
+        ) from None
+
+
+def _poly_value(m, e):
+    """m 2^e as a PolyValue: log_scale 0 where it is a normal double (or 0)."""
+    mant, exp = math.frexp(m)
+    exp += e
+    if mant == 0.0 or sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
+        return PolyValue(math.ldexp(mant, exp))
+    return PolyValue(mant, exp * math.log(2.0))
 
 
 def _rescale_steps(a_max, b):

@@ -3,13 +3,14 @@ term-by-term series, extended-precision (mpmath), closed forms, and the
 symmetry/boundedness properties the recurrences must respect."""
 
 import math
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgo import (
@@ -394,3 +395,74 @@ def test_angular_point_validation():
         AngularPoint(-0.1, 0.0)
     with pytest.raises(ValueError):
         AngularPoint(1.0, 2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# library sweep: every magnitude of the argument
+# ---------------------------------------------------------------------------
+
+MAGNITUDES = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+ARGUMENTS = st.one_of(
+    MAGNITUDES, MAGNITUDES.map(lambda x: -x), st.sampled_from([math.inf, -math.inf, math.nan])
+)
+EVALUATORS = {
+    "hermite_poly_scaled": lambda n, alpha, x: hermite_poly_scaled(n, x),
+    "laguerre_poly_scaled": laguerre_poly_scaled,
+    "hermite_function": lambda n, alpha, x: hermite_function(n, x),
+    "laguerre_function": laguerre_function,
+}
+
+
+def _well_conditioned_oracle(kind, n, alpha, x):
+    """mpmath's H_n or L_n^(alpha) where the raw recurrence does not cancel:
+    beyond twice the largest zero, or (Hermite) far inside the smallest
+    zero spacing; None elsewhere."""
+    if kind == "hermite_poly_scaled":
+        edge = math.sqrt(2 * n + 1)  # every zero of H_n lies inside (-edge, edge)
+        if abs(x) >= 2.0 * edge or abs(x) * edge <= 1e-3:
+            return mpmath.hermite(n, x)
+    elif x >= 2.0 * (4 * n + 2 * alpha + 2):  # above every zero of L_n^(alpha)
+        return mpmath.laguerre(n, alpha, x)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(EVALUATORS)),
+    n=st.integers(0, 500),
+    alpha=st.floats(-0.99, 200.0),
+    x=ARGUMENTS,
+)
+@example(kind="hermite_poly_scaled", n=5, alpha=0.0, x=1e8)
+@example(kind="hermite_poly_scaled", n=5, alpha=0.0, x=1e10)
+@example(kind="hermite_poly_scaled", n=5, alpha=0.0, x=1e30)
+@example(kind="laguerre_poly_scaled", n=5, alpha=0.5, x=1e20)
+@example(kind="laguerre_poly_scaled", n=5, alpha=0.5, x=math.inf)
+def test_special_functions_at_every_magnitude(kind, n, alpha, x):
+    """Each result is a finite float, a PolyValue with a finite mantissa and
+    log offset, or a documented ValueError (a non-finite polynomial
+    argument, a negative rho); scaled values match mpmath to 1e-12 in the
+    log wherever the recurrence is well conditioned."""
+    assume(kind.endswith("_scaled") or not math.isnan(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = EVALUATORS[kind](n, alpha, x)
+        except ValueError:
+            assert not math.isfinite(x) or (x < 0 and kind.startswith("laguerre"))
+            return
+    if not isinstance(result, PolyValue):
+        assert math.isfinite(result)
+        return
+    assert math.isfinite(result.value) and math.isfinite(result.log_scale)
+    assert result.value != 0.0 or result.log_scale == 0.0
+    if result.value == 0.0:
+        log_mine = -math.inf
+    else:
+        log_mine = result.log_scale + math.log(abs(result.value))
+        in_range = math.log(sys.float_info.min) <= log_mine <= math.log(sys.float_info.max)
+        assert result.log_scale == 0.0 or not in_range
+    oracle = _well_conditioned_oracle(kind, n, alpha, x)
+    if oracle is not None:
+        log_true = float(mpmath.log(abs(oracle)))
+        assert abs(log_mine - log_true) <= 1e-12 * max(1.0, abs(log_true)), (log_mine, log_true)
