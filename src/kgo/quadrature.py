@@ -197,16 +197,13 @@ def gauss_hermite(count: int) -> QuadratureRule:
     count = _check_count(count)
     upper = math.sqrt(2.0 * count + 1.0) + 0.5
 
-    def h_top(x):
-        v, _, _ = _hermite_engine(count, x)
-        return v
-
     def h_pair(x):
         v, vm1, _ = _hermite_engine(count, x)
         # h_K' = sqrt(2K) h_{K-1} - x h_K, same hidden scale
         return v, math.sqrt(2.0 * count) * vm1 - x * v
 
-    pos = _polish(h_pair, *_bracket_by_scan(h_top, upper * 1e-9, upper, count // 2, 4 * count + 64))
+    brackets = _bracket_by_scan(lambda x: h_pair(x)[0], upper * 1e-9, upper, count // 2, 4 * count + 64)
+    pos = _polish(h_pair, *brackets)
     if count % 2:
         nodes = np.concatenate([-pos[::-1], [0.0], pos])
     else:
@@ -233,10 +230,6 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
 
     upper = 2.0 * (2.0 * count + alpha + 1.0) + 2.0
 
-    def lf_top_s(svals):
-        v, _, _ = _laguerre_engine(count, alpha, svals * svals)
-        return v
-
     def lf_pair_rho(rho):
         v, vm1, _ = _laguerre_engine(count, alpha, rho)
         # d lf_K/drho = lf_K (K/rho + alpha/(2 rho) - 1/2)
@@ -248,7 +241,7 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
 
     s_hi = math.sqrt(upper)
     m0 = max(128, 2 * int(math.ceil(upper)))
-    s_lo, s_hi_b, f_lo_sign = _bracket_by_scan(lf_top_s, s_hi * 1e-9, s_hi, count, m0)
+    s_lo, s_hi_b, f_lo_sign = _bracket_by_scan(lambda s: lf_pair_rho(s * s)[0], s_hi * 1e-9, s_hi, count, m0)
     nodes = _polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign)
     table = laguerre_function_table(count - 1, alpha, nodes)
     return _christoffel_rule(GAUSS_LAGUERRE, nodes, table, alpha * np.log(nodes) - nodes, alpha=alpha)
