@@ -17,7 +17,7 @@ closed form of the same identity,
 
     w_k = 2 (1 - x_k^2) / (K (P_{K-1}(x_k) - x_k P_K(x_k)))^2,
 
-with the Legendre values from ``special.legendre_p``.
+with P_K and P_{K-1} from one Legendre recurrence sweep.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import IntegrandError, QuadratureError
 from .special import (
     _hermite_engine,
     _laguerre_engine,
+    _legendre_pair,
     hermite_function_table,
     laguerre_function_table,
-    legendre_p,
 )
 
 __all__ = [
@@ -204,10 +204,7 @@ def gauss_hermite(count: int) -> QuadratureRule:
 
     brackets = _bracket_by_scan(lambda x: h_pair(x)[0], upper * 1e-9, upper, count // 2, 4 * count + 64)
     pos = _polish(h_pair, *brackets)
-    if count % 2:
-        nodes = np.concatenate([-pos[::-1], [0.0], pos])
-    else:
-        nodes = np.concatenate([-pos[::-1], pos])
+    nodes = np.concatenate([-pos[::-1], [0.0], pos] if count % 2 else [-pos[::-1], pos])
     return _christoffel_rule(GAUSS_HERMITE, nodes, hermite_function_table(count - 1, nodes), -nodes * nodes)
 
 
@@ -260,24 +257,20 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise QuadratureError(f"interval must be finite with b > a, got [{a}, {b}]")
 
-    # classical cosine initial guess, then Newton
-    i = np.arange(count, dtype=float)
-    x = np.cos(math.pi * (i + 0.75) / (count + 0.5))
-    for _ in range(100):
-        pk, pkm1 = legendre_p(count, x), legendre_p(count - 1, x)
-        dp = count * (pkm1 - x * pk) / (1.0 - x * x)
-        dx = pk / dp
-        x = x - dx
-        if np.all(np.abs(dx) <= 4.0 * _EPS):
-            break
-    ref = np.sort(x)
-    ref = 0.5 * (ref - ref[::-1])  # enforce exact symmetry
-    if count % 2:
-        ref[count // 2] = 0.0
+    def p_pair(x):
+        pk, pkm1 = _legendre_pair(count, x)
+        # P_K and P_K' = K (P_{K-1} - x P_K) / (1 - x^2), both times
+        # 1 - x^2 > 0; (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels
+        return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk)
 
-    # (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels
-    pk, pkm1 = legendre_p(count, ref), legendre_p(count - 1, ref)
-    ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / (count * (pkm1 - ref * pk)) ** 2
+    # Bruns' inequality: the k-th largest root has arccos x in
+    # ((k - 1/2) pi, k pi) / (K + 1/2); k roots lie above the lower end, so
+    # P_K has the sign (-1)^k there, and the negative roots are mirror images
+    k = np.arange(count // 2, 0, -1)
+    lo, hi = np.cos(k * math.pi / (count + 0.5)), np.cos((k - 0.5) * math.pi / (count + 0.5))
+    pos = _polish(p_pair, lo, hi, (-1.0) ** k)
+    ref = np.concatenate([-pos[::-1], [0.0], pos] if count % 2 else [-pos[::-1], pos])
+    ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / p_pair(ref)[1] ** 2
 
     # midpoint and half-width in halves, so b - a cannot overflow
     half = 0.5 * b - 0.5 * a

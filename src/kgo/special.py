@@ -340,13 +340,16 @@ def legendre_p(ell: int, x):
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise ValueError("legendre_p requires x in [-1, 1]")
-    pkm1 = np.ones_like(arr)
-    if ell == 0:
-        return float(pkm1) if arr.ndim == 0 else pkm1
-    pk = arr.copy()
-    for k in range(2, ell + 1):
-        pkm1, pk = pk, ((2 * k - 1) * arr * pk - (k - 1) * pkm1) / k
+    pk = _legendre_pair(ell, arr)[0]
     return float(pk) if arr.ndim == 0 else pk
+
+
+def _legendre_pair(ell, x):
+    """(P_ell(x), P_{ell-1}(x)) from one upward recurrence, P_{-1} = 0."""
+    pkm1, pk = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, ell + 1):
+        pkm1, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pkm1) / k
+    return pk, pkm1
 
 
 def sph_harm(ell: int, m: int, point: AngularPoint) -> complex:
