@@ -247,6 +247,9 @@ def cmd_closure(config: RunConfig, args) -> int:
     else:
         sector, f, rule = _Radial(params, ell), catalogue[fn_id][1](params, ell), gauss_laguerre(count, ell + 0.5)
         lo, label = 0.05 / lam, f"radial-ell{ell}"
+    if lam == math.inf:
+        # the grid collapses to 0, where lam * 0 is nan
+        raise OverflowError("lambda = sqrt(mass * frequency) exceeds the double range")
     grid = np.linspace(lo, 6.0 / lam, 101)
     # One node table and one grid table at the top truncation, checked once;
     # each rung projects and reconstructs with their first n + 1 rows (a

@@ -222,8 +222,8 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
     """
     count = _check_count(count)
     alpha = float(alpha)
-    if not alpha > -1.0:
-        raise QuadratureError(f"Laguerre alpha must exceed -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise QuadratureError(f"Laguerre alpha must be finite and exceed -1, got {alpha}")
 
     upper = 2.0 * (2.0 * count + alpha + 1.0) + 2.0
 

@@ -157,7 +157,7 @@ def hermite_function(n: int, xi):
     scalar or an ndarray.
     """
     _check_degree(n)
-    arr = np.asarray(xi, dtype=float)
+    arr = _check_not_nan(np.asarray(xi, dtype=float))
     v, _, s = _hermite_engine(n, arr.ravel())
     out = _materialize(v, s).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
@@ -166,7 +166,7 @@ def hermite_function(n: int, xi):
 def hermite_function_table(n_max: int, xi) -> np.ndarray:
     """All rows h_0..h_{n_max} at the given points, shape (n_max+1, npts)."""
     _check_degree(n_max)
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    arr = _check_not_nan(np.atleast_1d(np.asarray(xi, dtype=float)))
     table = np.empty((n_max + 1, arr.size))
 
     def collect(k, v, s):
@@ -252,7 +252,7 @@ def laguerre_function(n: int, alpha: float, rho):
     _check_degree(n)
     _check_alpha(alpha)
     arr = np.asarray(rho, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # a nan point fails too
         raise ValueError("rho must be >= 0")
     flat = arr.ravel()
     origin = flat == 0.0
@@ -270,7 +270,7 @@ def laguerre_function_table(n_max: int, alpha: float, rho) -> np.ndarray:
     _check_degree(n_max)
     _check_alpha(alpha)
     arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # a nan point fails too
         raise ValueError("rho must be >= 0")
     origin = arr == 0.0
     table = np.empty((n_max + 1, arr.size))
@@ -338,7 +338,8 @@ def legendre_p(ell: int, x):
     """
     _check_degree(ell)
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    # written so that a nan point fails the test too
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise ValueError("legendre_p requires x in [-1, 1]")
     pk = _legendre_pair(ell, arr)[0]
     return float(pk) if arr.ndim == 0 else pk
@@ -427,8 +428,14 @@ def _check_degree(n):
 
 
 def _check_alpha(alpha):
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
+
+
+def _check_not_nan(arr):
+    if np.any(np.isnan(arr)):
+        raise ValueError("argument must not be nan")
+    return arr
 
 
 def _check_finite(x):
@@ -472,7 +479,8 @@ def _rescale_steps(a_max, b):
     by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
     shrink).  The logs of these bounds are spent from a budget of _HEADROOM
     that each renormalization refills, so no pair leaves the normal double
-    range.  A nan bound (a nan point) renormalizes before every step.
+    range.  The public evaluators refuse nan points, so every bound is a
+    number.
     """
     shrink = np.divide(2.0 * np.maximum(1.0, a_max), b, out=np.ones_like(b), where=b > 0.0)
     steps, budget = set(), _HEADROOM

@@ -503,6 +503,7 @@ def test_bad_input_is_usage_error(capsys, argv):
              "--test-function", "radial-gaussian", "--truncations", "0,5,40"],
             3,
         ),
+        (["closure", "--mass", "1e300", "--frequency", "1e300"], 3),
     ],
 )
 def test_rejected_input_writes_one_stderr_line(argv, code):

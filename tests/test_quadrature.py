@@ -139,6 +139,11 @@ def test_legendre_refuses_non_finite_interval(a, b):
         gauss_legendre(4, a, b)
 
 
+def test_laguerre_refuses_infinite_alpha():
+    with pytest.raises(QuadratureError):
+        gauss_laguerre(4, math.inf)
+
+
 @pytest.mark.parametrize("alpha", [171.0, 200.0])
 def test_laguerre_weights_past_the_double_range(alpha):
     # Gamma(alpha + 1) exceeds the double range: weights may round to inf,

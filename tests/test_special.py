@@ -132,6 +132,24 @@ def test_normalized_functions_vanish_at_huge_arguments():
             assert np.all(laguerre_function_table(5, 0.5, [rho, 2 * rho]) == 0.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: hermite_function(5, math.nan),
+        lambda: hermite_function_table(5, [math.nan, 1.0]),
+        lambda: laguerre_function(5, 0.5, math.nan),
+        lambda: laguerre_function_table(5, 0.5, [1.0, math.nan]),
+        lambda: legendre_p(3, math.nan),
+    ],
+    ids=["hermite_function", "hermite_function_table", "laguerre_function", "laguerre_function_table", "legendre_p"],
+)
+def test_nan_point_is_refused(evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            evaluate()
+
+
 # every quarter decade from 1e-3 to 1e28, where the engines switch to 0
 SCALES = [10.0**k for k in np.arange(-3.0, 28.01, 0.25)] + [9.99e27]
 
@@ -282,6 +300,18 @@ def test_laguerre_alpha_validation():
         laguerre_poly(3, -1.0, 1.0)
     with pytest.raises(ValueError):
         laguerre_function(3, -1.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda: laguerre_function(5, math.inf, 1.0), lambda: laguerre_function_table(5, math.inf, [1.0])],
+    ids=["laguerre_function", "laguerre_function_table"],
+)
+def test_infinite_alpha_is_refused(evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------
