@@ -4,6 +4,7 @@ and the reference implementations in numpy/scipy (oracle side only)."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -111,7 +112,7 @@ def test_structure_huge_rules(factory):
     assert np.all(rule.modified_weights > 0)
 
 
-@pytest.mark.parametrize("count,a,b", [(1, -1, 1), (2, 0, 5), (33, -2.5, 0.5), (201, -1, 1)])
+@pytest.mark.parametrize("count,a,b", [(1, -1, 1), (2, 0, 5), (33, -2.5, 0.5), (201, -1, 1), (512, -1, 1)])
 def test_structure_legendre(count, a, b):
     rule = gauss_legendre(count, a, b)
     assert np.all(np.diff(rule.nodes) > 0)
@@ -317,6 +318,7 @@ def test_laguerre_node_residual(count, alpha):
         ("_laguerre_engine", lambda: gauss_laguerre(144, 10.5)),
         # a Newton step onto the far bracket end used to cycle to the cap
         pytest.param("_laguerre_engine", lambda: gauss_laguerre(256, 0.5), id="laguerre-256-half"),
+        ("_legendre_pair", lambda: gauss_legendre(512, -1.0, 1.0)),
     ],
 )
 def test_polish_converges_by_newton(monkeypatch, engine, build):
@@ -349,6 +351,21 @@ def test_legendre_vs_numpy(count):
     nodes, weights = np.polynomial.legendre.leggauss(count)
     assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
     assert np.max(np.abs(rule.weights - weights)) <= 1e-13
+
+
+def test_legendre_512_against_mpmath():
+    """The largest rule: exactly symmetric, and sampled nodes and weights
+    (the edge node included) at 40 digits."""
+    rule = gauss_legendre(MAX_NODES, -1.0, 1.0)
+    assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.array_equal(rule.weights, rule.weights[::-1])
+    with mpmath.workdps(40):
+        for i in (0, 1, 100, 255):
+            node = mpmath.findroot(lambda x: mpmath.legendre(MAX_NODES, x), rule.nodes[i])
+            slope = mpmath.diff(lambda x: mpmath.legendre(MAX_NODES, x), node)
+            weight = 2 / ((1 - node * node) * slope * slope)
+            assert abs(rule.nodes[i] - node) <= 1e-15
+            assert abs(rule.weights[i] - weight) <= 1e-11 * weight
 
 
 @pytest.mark.parametrize("count,alpha", [(3, 0.0), (8, 2.5), (16, 0.5), (40, 2.5), (64, 10.5)])
