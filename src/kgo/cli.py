@@ -143,10 +143,6 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _NonFiniteError(ArithmeticError):
     pass
 
@@ -181,7 +177,7 @@ def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple],
             with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write output to {config.output_path!r}: {exc}") from exc
+            raise ValueError(f"cannot write output to {config.output_path!r}: {exc}") from exc
     return EXIT_OK if fields.get("passed", True) else EXIT_VERIFICATION
 
 
@@ -232,15 +228,15 @@ def cmd_closure(config: RunConfig, args) -> int:
     try:
         truncations = [int(tok) for tok in args.truncations.split(",") if tok.strip()]
     except ValueError:
-        raise _UsageError(f"bad --truncations value {args.truncations!r}") from None
+        raise ValueError(f"bad --truncations value {args.truncations!r}") from None
     if not truncations or any(t < 0 for t in truncations):
-        raise _UsageError("truncations must be non-negative integers")
+        raise ValueError("truncations must be non-negative integers")
     params, dimension, ell, fn_id = config.params, args.dimension, args.ell, args.test_function
     lam = params.lam
     count = args.quad_count if args.quad_count is not None else max(truncations) + 64
     catalogue = TEST_FUNCTIONS_1D if dimension == "1d" else TEST_FUNCTIONS_RADIAL
     if fn_id not in catalogue:
-        raise _UsageError(f"unknown {dimension} test function {fn_id!r}; known ids: {sorted(catalogue)}")
+        raise ValueError(f"unknown {dimension} test function {fn_id!r}; known ids: {sorted(catalogue)}")
     if dimension == "1d":
         sector, f, rule = _Line(params), catalogue[fn_id][1](params), gauss_hermite(count)
         lo, label = -6.0 / lam, "1d"
@@ -302,7 +298,7 @@ def cmd_greens(config: RunConfig, args) -> int:
     fails (exit 1) above the 1e-9 gate, exit 3 on pole proximity."""
     x1, x2 = args.x1, args.x2
     if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise _UsageError("--x1 and --x2 must be finite")
+        raise ValueError("--x1 and --x2 must be finite")
     params, dimension, ell, energy_sq, n_max = config.params, args.dimension, args.ell, args.energy_sq, args.n_max
     query = GreensQuery(probe_energy_sq=energy_sq, truncation=n_max, pole_guard=args.pole_guard)
     count = args.quad_count if args.quad_count is not None else n_max + 16
@@ -389,15 +385,15 @@ def _run(args) -> int:
         output_path=args.out,
     )
     if not (0 < config.mass < math.inf and 0 < config.frequency < math.inf):
-        raise _UsageError("mass and frequency must be positive and finite")
+        raise ValueError("mass and frequency must be positive and finite")
     if getattr(args, "n_max", 0) < 0:
-        raise _UsageError("--n-max must be >= 0")
+        raise ValueError("--n-max must be >= 0")
 
     ell = getattr(args, "ell", None)
     if (ell is None) == (getattr(args, "dimension", None) == "radial"):
-        raise _UsageError("--ell is required with --dimension radial and accepted only there")
+        raise ValueError("--ell is required with --dimension radial and accepted only there")
     if ell is not None and not 0 <= ell <= MAX_ELL:
-        raise _UsageError(f"--ell must lie in [0, {MAX_ELL}]")
+        raise ValueError(f"--ell must lie in [0, {MAX_ELL}]")
     return args.run(config, args)
 
 
@@ -406,9 +402,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except _UsageError as exc:
-        print(f"kgo: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PoleProximityError as exc:
         print(f"kgo: pole proximity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
