@@ -2,8 +2,16 @@
 and a generic integration driver.
 
 Nodes are located without any eigensolver: a sign-change scan of the
-normalized weighted polynomial brackets every root, and a vectorized
-safeguarded bisection/Newton hybrid polishes them to machine precision.
+normalized weighted polynomial brackets every Hermite and Laguerre root,
+Bruns' inequality (Szego, Orthogonal Polynomials, Thm 6.21.2) brackets
+the k-th largest Legendre root in closed form,
+
+    arccos x_k in ((k - 1/2) pi, k pi) / (K + 1/2),
+
+and one vectorized safeguarded bisection/Newton hybrid polishes every
+bracket to machine precision.  Symmetric rules polish only their
+positive roots and mirror them.
+
 Weights come from the Christoffel identity
 
     w_k = 1 / sum_{j<K} p_j(x_k)^2
@@ -18,6 +26,10 @@ closed form of the same identity,
     w_k = 2 (1 - x_k^2) / (K (P_{K-1}(x_k) - x_k P_K(x_k)))^2,
 
 with P_K and P_{K-1} from one Legendre recurrence sweep.
+
+Bad arguments raise QuadratureError: a node count outside [1, MAX_NODES],
+a Laguerre alpha that is not finite or not above -1, and a Legendre
+interval that is not finite with a < b.
 """
 
 from __future__ import annotations
@@ -263,9 +275,8 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         # 1 - x^2 > 0; (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels
         return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk)
 
-    # Bruns' inequality: the k-th largest root has arccos x in
-    # ((k - 1/2) pi, k pi) / (K + 1/2); k roots lie above the lower end, so
-    # P_K has the sign (-1)^k there, and the negative roots are mirror images
+    # Bruns brackets (module docstring) of the positive roots: k roots lie
+    # above the lower end of the k-th, so P_K has the sign (-1)^k there
     k = np.arange(count // 2, 0, -1)
     lo, hi = np.cos(k * math.pi / (count + 0.5)), np.cos((k - 0.5) * math.pi / (count + 0.5))
     pos = _polish(p_pair, lo, hi, (-1.0) ** k)
