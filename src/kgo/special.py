@@ -338,8 +338,7 @@ def legendre_p(ell: int, x):
     """
     _check_degree(ell)
     arr = np.asarray(x, dtype=float)
-    # written so that a nan point fails the test too
-    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # a nan point fails too
         raise ValueError("legendre_p requires x in [-1, 1]")
     pk = _legendre_pair(ell, arr)[0]
     return float(pk) if arr.ndim == 0 else pk
