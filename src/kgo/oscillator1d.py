@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrandError, PoleProximityError, QuadratureError
-from .quadrature import GAUSS_HERMITE, QuadratureRule
+from .quadrature import GAUSS_HERMITE, QuadratureRule, _node_table
 from .special import hermite_function, hermite_function_table
 
 __all__ = [
@@ -208,7 +208,7 @@ class _Line:
         """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
         factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
         lam = self.params.lam
-        return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
+        return rule.nodes / lam, _node_table(rule, n_max), math.sqrt(lam)
 
     def table(self, n_max: int, x) -> np.ndarray:
         lam = self.params.lam
@@ -270,7 +270,9 @@ def _denominators(params: OscillatorParams, query, ell: int | None = None) -> np
     2 n_r + ell for a radial ell); OverflowError if an E_n^2 is not finite,
     PoleProximityError inside the pole guard."""
     n = np.arange(query.truncation + 1)
-    esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
+    # a huge m w overflows E_n^2 to inf (inf * 0 = nan at shell 0); refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
     if not np.all(np.isfinite(esq)):
         raise OverflowError("E_n^2 exceeds the double range")
     denom = query.probe_energy_sq - esq
@@ -292,9 +294,8 @@ def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -
     # h_i h_j has parity (-1)^(i+j) and the rule is symmetric: fold it onto
     # xi >= 0 (weights doubled, xi = 0 counted once) and zero the odd entries
     half = rule.nodes >= 0.0
-    nodes = rule.nodes[half]
-    weights = np.where(nodes > 0.0, 2.0, 1.0) * rule.modified_weights[half]
-    gram = _gram(hermite_function_table(n_max, nodes), weights)
+    weights = np.where(rule.nodes[half] > 0.0, 2.0, 1.0) * rule.modified_weights[half]
+    gram = _gram(_node_table(rule, n_max)[:, half], weights)
     order = np.arange(n_max + 1)
     gram[(order[:, None] + order) % 2 == 1] = 0.0
     return gram

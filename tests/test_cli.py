@@ -504,6 +504,13 @@ def test_bad_input_is_usage_error(capsys, argv):
             3,
         ),
         (["closure", "--mass", "1e300", "--frequency", "1e300"], 3),
+        (["greens", "--mass", "1e300", "--frequency", "1e300", "--energy-sq", "2", "--x1", "0", "--x2", "0.5"], 3),
+        (
+            ["greens", "--mass", "1e300", "--frequency", "1e300", "--energy-sq", "2", "--x1", "0", "--x2", "0.5",
+             "--dimension", "radial", "--ell", "0"],
+            3,
+        ),
+        (["greens", "--mass", "1e154", "--frequency", "5e153", "--energy-sq", "2", "--x1", "0", "--x2", "0.5"], 3),
     ],
 )
 def test_rejected_input_writes_one_stderr_line(argv, code):

@@ -1,6 +1,7 @@
 """Quadrature rules against closed-form moments, classical interlacing,
 and the reference implementations in numpy/scipy (oracle side only)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,17 +11,26 @@ import pytest
 import scipy.special
 
 from kgo import (
+    GreensQuery,
     IntegrandError,
     QuadratureError,
+    coefficient_deviation_1d,
+    coefficient_deviation_radial,
     gauss_hermite,
     gauss_laguerre,
     gauss_legendre,
+    gram_matrix_1d,
     hermite_function,
+    hermite_function_table,
     integrate,
     laguerre_function,
+    laguerre_function_table,
+    project_1d,
+    project_radial,
+    radial_gram,
 )
-from kgo import quadrature
-from kgo.quadrature import MAX_NODES
+from kgo import oscillator1d, oscillator3d, quadrature
+from kgo.quadrature import MAX_NODES, _node_table
 
 
 def hermite_moment(j):
@@ -412,3 +422,90 @@ def test_integrate_rejects_nan():
         integrate(rule, lambda x: float("nan") if x > 0.5 else 1.0)
     with pytest.raises(IntegrandError):
         integrate(rule, lambda x: float("inf"))
+
+
+# ---------------------------------------------------------------------------
+# the kept Christoffel table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "count, alpha",
+    [(count, None) for count in (1, 2, 3, 64, 201, 512)]
+    + [(count, alpha) for count in (1, 2, 64, 201, 512) for alpha in (-0.5, 0.5, 10.5, 64.5)],
+)
+def test_node_table_is_the_fresh_table(count, alpha):
+    """The rule's table rows are the fresh table at its nodes, bit for bit,
+    and so are the 1D Gram's half-node columns; the view is read-only."""
+    rule = gauss_hermite(count) if alpha is None else gauss_laguerre(count, alpha)
+    for n in sorted({0, count // 2, count - 1}):
+        view = _node_table(rule, n)
+        if alpha is None:
+            fresh = hermite_function_table(n, rule.nodes)
+            half = rule.nodes >= 0.0
+            folded = hermite_function_table(n, rule.nodes[half])
+            assert view[:, half].tobytes() == folded.tobytes(), n
+        else:
+            fresh = laguerre_function_table(n, alpha, rule.nodes)
+        assert view.shape == (n + 1, count)
+        assert view.tobytes() == fresh.tobytes(), n
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+
+def _operator_results(params, hermite, laguerre):
+    """Every operator that works at a rule's nodes, on a 1D (24-node) and a
+    radial ell = 2 (20-node) rule, with Green's truncations below, at and
+    above the node count (the last two build their own table)."""
+    out = [
+        gram_matrix_1d(params, 23, hermite),
+        gram_matrix_1d(params, 10, hermite),
+        radial_gram(params, 2, 19, laguerre),
+        project_1d(params, 15, lambda x: math.exp(-x * x) * (1.0 + x), hermite).coefficients,
+        project_radial(params, 2, 12, lambda r: r**3 * math.exp(-r * r), laguerre).coefficients,
+    ]
+    for extra in (-1, 0, 6):
+        out.append(coefficient_deviation_1d(params, GreensQuery(2.0, hermite.count + extra, 0.1), 0.3, hermite, 10))
+        query = GreensQuery(2.0, laguerre.count + extra, 0.1)
+        out.append(coefficient_deviation_radial(params, 2, query, 0.3, laguerre, 10))
+    return [np.asarray(x).tobytes() for x in out]
+
+
+def test_operators_match_a_rule_without_its_table(unit_params):
+    """A rule made by dataclasses.replace carries no table, so every operator
+    builds a fresh one; the results are the same bits."""
+    hermite, laguerre = gauss_hermite(24), gauss_laguerre(20, 2.5)
+    bare_h, bare_l = dataclasses.replace(hermite), dataclasses.replace(laguerre)
+    assert bare_h._table is None and bare_l._table is None
+    assert bare_h == hermite and repr(bare_h) == repr(hermite)
+    assert _operator_results(unit_params, bare_h, bare_l) == _operator_results(unit_params, hermite, laguerre)
+
+
+def test_operators_slice_the_rule_table(monkeypatch, unit_params):
+    """On a rule built here no operator builds a table at the rule's nodes
+    again: they slice the table the weights came from."""
+    params = unit_params
+    hermite, laguerre = gauss_hermite(24), gauss_laguerre(20, 2.5)
+    at_nodes = []
+
+    def counted(fn, rule):
+        def wrapper(*args):
+            if np.isin(np.ravel(args[-1]), rule.nodes).all():
+                at_nodes.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (quadrature, oscillator1d, oscillator3d):
+        for name, rule in (("hermite_function_table", hermite), ("laguerre_function_table", laguerre)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), rule))
+    for extra in (-1, -10):
+        coefficient_deviation_1d(params, GreensQuery(2.0, hermite.count + extra, 0.1), 0.3, hermite, 10)
+        coefficient_deviation_radial(params, 2, GreensQuery(2.0, laguerre.count + extra, 0.1), 0.3, laguerre, 10)
+    gram_matrix_1d(params, 23, hermite)
+    radial_gram(params, 2, 19, laguerre)
+    project_1d(params, 15, lambda x: math.exp(-x * x), hermite)
+    project_radial(params, 2, 12, lambda r: r * math.exp(-r * r), laguerre)
+    assert at_nodes == []
