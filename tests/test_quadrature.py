@@ -454,18 +454,18 @@ def test_node_table_is_the_fresh_table(count, alpha):
             view[0, 0] = 1.0
 
 
-def _operator_results(params, hermite, laguerre):
-    """Every operator that works at a rule's nodes, on a 1D (24-node) and a
-    radial ell = 2 (20-node) rule, with Green's truncations below, at and
-    above the node count (the last two build their own table)."""
+def _operator_results(params, hermite, laguerre, extras=(-1, 0, 6)):
+    """Every operator that works at a rule's nodes, on a 1D and a radial
+    ell = 2 rule, with Green's truncations of count + extra (at or above
+    the count the operator needs more rows than the rule's table has)."""
     out = [
-        gram_matrix_1d(params, 23, hermite),
+        gram_matrix_1d(params, hermite.count - 1, hermite),
         gram_matrix_1d(params, 10, hermite),
-        radial_gram(params, 2, 19, laguerre),
+        radial_gram(params, 2, laguerre.count - 1, laguerre),
         project_1d(params, 15, lambda x: math.exp(-x * x) * (1.0 + x), hermite).coefficients,
         project_radial(params, 2, 12, lambda r: r**3 * math.exp(-r * r), laguerre).coefficients,
     ]
-    for extra in (-1, 0, 6):
+    for extra in extras:
         out.append(coefficient_deviation_1d(params, GreensQuery(2.0, hermite.count + extra, 0.1), 0.3, hermite, 10))
         query = GreensQuery(2.0, laguerre.count + extra, 0.1)
         out.append(coefficient_deviation_radial(params, 2, query, 0.3, laguerre, 10))
@@ -485,7 +485,6 @@ def test_operators_match_a_rule_without_its_table(unit_params):
 def test_operators_slice_the_rule_table(monkeypatch, unit_params):
     """On a rule built here no operator builds a table at the rule's nodes
     again: they slice the table the weights came from."""
-    params = unit_params
     hermite, laguerre = gauss_hermite(24), gauss_laguerre(20, 2.5)
     at_nodes = []
 
@@ -501,11 +500,5 @@ def test_operators_slice_the_rule_table(monkeypatch, unit_params):
         for name, rule in (("hermite_function_table", hermite), ("laguerre_function_table", laguerre)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name), rule))
-    for extra in (-1, -10):
-        coefficient_deviation_1d(params, GreensQuery(2.0, hermite.count + extra, 0.1), 0.3, hermite, 10)
-        coefficient_deviation_radial(params, 2, GreensQuery(2.0, laguerre.count + extra, 0.1), 0.3, laguerre, 10)
-    gram_matrix_1d(params, 23, hermite)
-    radial_gram(params, 2, 19, laguerre)
-    project_1d(params, 15, lambda x: math.exp(-x * x), hermite)
-    project_radial(params, 2, 12, lambda r: r * math.exp(-r * r), laguerre)
+    _operator_results(unit_params, hermite, laguerre, extras=(-1, -10))
     assert at_nodes == []
