@@ -20,10 +20,14 @@ not on every step: before each step the recurrence coefficients give a
 bound on how far any point's mantissa pair can move, and the pairs are
 rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
 only before a step that could take one of them out of the normal double
-range.  The raw polynomials run their plain recurrences with the pair
-renormalized by a power of two at every step and the exponent counted
-apart; ``*_poly`` returns the float (OverflowError outside the double
-range), ``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
+range.  A table receives each order's raw mantissa as the recurrence runs.
+The rows between two rescales share one offset, so each such block is
+turned into values in place, once, at the rescale that ends it (or at the
+end), a bounded chunk of rows at a time.  The raw polynomials run their
+plain recurrences with the pair renormalized by a power of two at every
+step and the exponent counted apart; ``*_poly`` returns the float
+(OverflowError outside the double range), ``*_poly_scaled`` a
+``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ _HEADROOM = min(
 # exp(-rho/2) puts every order the recurrence can reach below the double
 # range, and one step from a mantissa near _RESCALE could overflow.
 _FAR_ARG = 1e28
+
+# Values per chunk in which _materialize turns table rows into values, so
+# its one temporary stays at 256 KB whatever the size of the table.
+_MATERIALIZE_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,8 @@ def hermite_function(n: int, xi):
     _check_degree(n)
     arr = _check_not_nan(np.asarray(xi, dtype=float))
     v, _, s = _hermite_engine(n, arr.ravel())
-    out = _materialize(v, s).reshape(arr.shape)
+    _materialize(v[np.newaxis], s)
+    out = v.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -168,36 +177,39 @@ def hermite_function_table(n_max: int, xi) -> np.ndarray:
     _check_degree(n_max)
     arr = _check_not_nan(np.atleast_1d(np.asarray(xi, dtype=float)))
     table = np.empty((n_max + 1, arr.size))
-
-    def collect(k, v, s):
-        table[k] = _materialize(v, s)
-
-    _hermite_engine(n_max, arr, collect)
+    _hermite_engine(n_max, arr, table)
     return table
 
 
-def _hermite_engine(n_max, xi, collect=None):
+def _hermite_engine(n_max, xi, table=None):
     """Run the normalized Hermite recurrence with per-point log rescaling.
 
     Returns (v_n, v_{n-1}, s): mantissas of the top two orders sharing the
-    per-point log offset s, so ratios of same-point values are exact.
+    per-point log offset s, so ratios of same-point values are exact.  A
+    given ``table`` of shape (n_max+1, npts) receives every order's values.
     """
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
     s = np.where(far, -np.inf, -0.5 * xi * xi - 0.25 * math.log(math.pi))
     vk = np.ones_like(xi)
     vkm1 = np.zeros_like(xi)
-    if collect is not None:
-        collect(0, vk, s)
+    if table is not None:
+        table[0] = vk
     steps = np.arange(n_max)
     a_max = np.max(np.abs(xi), initial=0.0) * np.sqrt(2.0 / (steps + 1))
     rescale = _rescale_steps(a_max, np.sqrt(steps / (steps + 1.0)))
+    start = 0  # first row of the block that shares the offset s
     for k in range(n_max):
         if k in rescale:
+            if table is not None:
+                _materialize(table[start : k + 1], s)
+                start = k + 1
             vk, vkm1, s = _renormalize(vk, vkm1, s)
         vk, vkm1 = xi * math.sqrt(2.0 / (k + 1)) * vk - math.sqrt(k / (k + 1.0)) * vkm1, vk
-        if collect is not None:
-            collect(k + 1, vk, s)
+        if table is not None:
+            table[k + 1] = vk
+    if table is not None:
+        _materialize(table[start:], s)
     return _renormalize(vk, vkm1, s)
 
 
@@ -257,10 +269,10 @@ def laguerre_function(n: int, alpha: float, rho):
     flat = arr.ravel()
     origin = flat == 0.0
     v, _, s = _laguerre_engine(n, alpha, np.where(origin, 1.0, flat))
-    out = _materialize(v, s)
+    _materialize(v[np.newaxis], s)
     if np.any(origin):
-        out[origin] = _laguerre_origin_value(alpha)
-    out = out.reshape(arr.shape)
+        v[origin] = _laguerre_origin_value(alpha)
+    out = v.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -274,11 +286,7 @@ def laguerre_function_table(n_max: int, alpha: float, rho) -> np.ndarray:
         raise ValueError("rho must be >= 0")
     origin = arr == 0.0
     table = np.empty((n_max + 1, arr.size))
-
-    def collect(k, v, s):
-        table[k] = _materialize(v, s)
-
-    _laguerre_engine(n_max, alpha, np.where(origin, 1.0, arr), collect)
+    _laguerre_engine(n_max, alpha, np.where(origin, 1.0, arr), table)
     table[:, origin] = _laguerre_origin_value(alpha)
     return table
 
@@ -293,9 +301,10 @@ def _laguerre_origin_value(alpha):
     return math.inf
 
 
-def _laguerre_engine(n_max, alpha, rho, collect=None):
+def _laguerre_engine(n_max, alpha, rho, table=None):
     """Normalized Laguerre recurrence with per-point log rescaling
-    (requires rho > 0 elementwise).
+    (requires rho > 0 elementwise), returning and filling ``table`` as
+    :func:`_hermite_engine` does.
 
     lf_{k+1} = A_k lf_k - B_k lf_{k-1} with
     A_k = (2k+1+alpha-rho)/sqrt((k+1)(k+1+alpha)) and
@@ -306,8 +315,8 @@ def _laguerre_engine(n_max, alpha, rho, collect=None):
     s = np.where(far, -np.inf, -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0))
     vk = np.ones_like(rho)
     vkm1 = np.zeros_like(rho)
-    if collect is not None:
-        collect(0, vk, s)
+    if table is not None:
+        table[0] = vk
     # |A_k| is largest at an end of the rho range, since A_k is linear in rho
     steps = np.arange(n_max)
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
@@ -315,14 +324,20 @@ def _laguerre_engine(n_max, alpha, rho, collect=None):
     norm = (steps + 1) * (steps + 1 + alpha)
     a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / np.sqrt(norm)
     rescale = _rescale_steps(a_max, np.sqrt(steps * (steps + alpha) / norm))
+    start = 0
     for k in range(n_max):
         if k in rescale:
+            if table is not None:
+                _materialize(table[start : k + 1], s)
+                start = k + 1
             vk, vkm1, s = _renormalize(vk, vkm1, s)
         a = (2 * k + 1 + alpha - rho) / math.sqrt((k + 1) * (k + 1 + alpha))
         b = math.sqrt(k * (k + alpha) / ((k + 1) * (k + 1 + alpha)))
         vk, vkm1 = a * vk - b * vkm1, vk
-        if collect is not None:
-            collect(k + 1, vk, s)
+        if table is not None:
+            table[k + 1] = vk
+    if table is not None:
+        _materialize(table[start:], s)
     return _renormalize(vk, vkm1, s)
 
 
@@ -513,9 +528,23 @@ def _renormalize(vk, vkm1, s):
     return vk, vkm1, s
 
 
-def _materialize(v, s):
-    """v * exp(s) computed as sign(v) exp(s + log|v|), safe for extreme
+def _materialize(rows, s):
+    """Turn mantissa rows that share the per-point log offset s into values
+    in place: v exp(s) computed as sign(v) exp(s + log|v|), safe for extreme
     offsets; 0 where v is 0 (np.sign keeps that 0 positive for a -0.0
-    mantissa, where np.copysign would not)."""
+    mantissa, where np.copysign would not).
+
+    The rows go through in chunks of about _MATERIALIZE_CELLS values, so
+    the one temporary, reused by every chunk, stays small next to a table.
+    """
+    step = max(1, _MATERIALIZE_CELLS // max(1, rows.shape[1]))
+    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]))
     with np.errstate(divide="ignore"):
-        return np.sign(v) * np.exp(s + np.log(np.abs(v)))
+        for lo in range(0, rows.shape[0], step):
+            v = rows[lo : lo + step]
+            e = np.abs(v, out=buf[: len(v)])
+            np.log(e, out=e)
+            np.add(s, e, out=e)
+            np.exp(e, out=e)
+            np.sign(v, out=v)
+            v *= e

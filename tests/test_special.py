@@ -4,6 +4,7 @@ symmetry/boundedness properties the recurrences must respect."""
 
 import math
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -179,9 +180,24 @@ def test_table_rows_do_not_depend_on_table_size():
             assert big_l[: n + 1].tobytes() == laguerre_function_table(n, alpha, rho).tobytes(), (n, alpha)
 
 
+def _record_blocks(monkeypatch):
+    """Wrap special._materialize; the returned list gets the row count of
+    each block it is called on."""
+    blocks = []
+    materialize = special._materialize
+
+    def recorded(rows, s):
+        blocks.append(rows.shape[0])
+        return materialize(rows, s)
+
+    monkeypatch.setattr(special, "_materialize", recorded)
+    return blocks
+
+
 def test_renormalization_runs_on_a_budget(monkeypatch):
     """The engines rescale only when the growth bound runs out (15 times for
-    this table), not on each of its 500 steps."""
+    this table), not on each of its 500 steps, and turn each block of rows
+    between two rescales into values with one call, not row by row."""
     calls = []
     renormalize = special._renormalize
 
@@ -190,8 +206,68 @@ def test_renormalization_runs_on_a_budget(monkeypatch):
         return renormalize(*args)
 
     monkeypatch.setattr(special, "_renormalize", counted)
+    blocks = _record_blocks(monkeypatch)
     hermite_function_table(500, np.linspace(-30.0, 30.0, 512))
     assert len(calls) <= 50
+    # every block ends at a rescale or at the engine's last renormalization
+    assert len(blocks) <= len(calls)
+    assert sum(blocks) == 501
+
+
+# Point sets for the chunking test: moderate ones, whose blocks between two
+# rescales span several chunks, and wide ones up to 1e12, which rescale
+# almost every step; each has the origin and points beyond _FAR_ARG.
+MODERATE_XI = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, -0.0, 3e28, -1e29, 1e300]])
+WIDE_XI = np.concatenate([[0.0, -0.0, 1e29, -1e30], np.geomspace(1e-3, 1e12, 600), -np.geomspace(1e-3, 1e12, 600)])
+MODERATE_RHO = np.concatenate([np.linspace(0.0, 900.0, 2001), [3e28, 1e300]])
+WIDE_RHO = np.concatenate([[0.0, 1e29], np.geomspace(1e-3, 1e12, 1200)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda xi, rho: hermite_function_table(400, xi),
+        lambda xi, rho: laguerre_function_table(300, -0.5, rho),
+        lambda xi, rho: laguerre_function_table(300, 0.5, rho),
+        lambda xi, rho: laguerre_function_table(300, 64.5, rho),
+    ],
+    ids=["hermite", "laguerre-neg-half", "laguerre-half", "laguerre-64.5"],
+)
+def test_chunked_materialize_matches_row_by_row(monkeypatch, build):
+    """A table materialized in chunks of rows has the bytes of the same table
+    materialized one row per chunk (the order-by-order evaluation)."""
+    blocks = _record_blocks(monkeypatch)
+    chunked = build(MODERATE_XI, MODERATE_RHO), build(WIDE_XI, WIDE_RHO)
+    chunk_rows = special._MATERIALIZE_CELLS // MODERATE_XI.size
+    assert len(blocks) >= 6 and max(blocks) > 2 * chunk_rows, (blocks, chunk_rows)
+    monkeypatch.setattr(special, "_MATERIALIZE_CELLS", 1)
+    by_row = build(MODERATE_XI, MODERATE_RHO), build(WIDE_XI, WIDE_RHO)
+    for a, b in zip(chunked, by_row):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hermite_function_table(299, np.linspace(-1.0, 1.0, 4000)),
+        lambda: laguerre_function_table(299, 0.5, np.linspace(0.0, 2.0, 4000)),
+    ],
+    ids=["hermite", "laguerre"],
+)
+def test_table_memory_stays_near_the_table(build):
+    """Building a table allocates little beyond the table: its blocks are
+    turned into values a bounded chunk at a time."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.10 * table.nbytes, peak / table.nbytes
 
 
 def test_hermite_recurrence_vs_series(rng):
