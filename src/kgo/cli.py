@@ -24,11 +24,9 @@ Output is deterministic: identical invocations produce identical bytes
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +60,7 @@ from .oscillator3d import (
 )
 from .quadrature import gauss_hermite, gauss_laguerre
 
-__all__ = ["RunConfig", "main", "build_parser", "TEST_FUNCTIONS_1D", "TEST_FUNCTIONS_RADIAL"]
+__all__ = ["main", "build_parser", "TEST_FUNCTIONS_1D", "TEST_FUNCTIONS_RADIAL"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -72,24 +70,6 @@ EXIT_NUMERIC = 3
 GRAM_GATE = 1e-9
 MONOTONE_SLACK = 1e-12
 COEFF_GATE = 1e-9
-
-
-class OutputFormat(enum.Enum):
-    CSV = "csv"
-    JSON = "json"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mass: float
-    frequency: float
-    convention: SpectrumConvention
-    output_format: OutputFormat
-    output_path: str | None  # None = stdout
-
-    @property
-    def params(self) -> OscillatorParams:
-        return OscillatorParams(self.mass, self.frequency, self.convention)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +127,7 @@ class _NonFiniteError(ArithmeticError):
     pass
 
 
-def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple], fields: dict) -> int:
+def _emit(args, command: str, header: list[str], rows: list[tuple], fields: dict) -> int:
     """Write one report and return its exit code.
 
     CSV is ``header`` plus ``rows``; JSON is ``fields`` under the common
@@ -159,25 +139,25 @@ def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple],
         for name, cell in zip(header, row):
             if isinstance(cell, float) and not math.isfinite(cell):
                 raise _NonFiniteError(f"{name} is not finite")
-    if config.output_format is OutputFormat.CSV:
+    if args.format == "csv":
         lines = [header] + [[_csv_escape(_fmt(cell)) for cell in row] for row in rows]
         text = "".join(",".join(line) + "\n" for line in lines)
     else:
         payload = {
             "schema_version": "1",
             "command": command,
-            "config": {"mass": config.mass, "frequency": config.frequency, "convention": config.convention.value},
+            "config": {"mass": args.mass, "frequency": args.frequency, "convention": args.convention},
             **fields,
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.output_path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ValueError(f"cannot write output to {config.output_path!r}: {exc}") from exc
+            raise ValueError(f"cannot write output to {args.out!r}: {exc}") from exc
     return EXIT_OK if fields.get("passed", True) else EXIT_VERIFICATION
 
 
@@ -186,27 +166,31 @@ def _emit(config: RunConfig, command: str, header: list[str], rows: list[tuple],
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(config: RunConfig, args) -> int:
+def _params(args) -> OscillatorParams:
+    return OscillatorParams(args.mass, args.frequency, SpectrumConvention(args.convention))
+
+
+def cmd_spectrum(args) -> int:
     """Energy table: both conventions, both branches, non-relativistic
     limit and the as-printed-minus-limit column."""
     dimension = args.dimension
-    ode = OscillatorParams(config.mass, config.frequency, SpectrumConvention.ODE_DERIVED)
-    printed = OscillatorParams(config.mass, config.frequency, SpectrumConvention.AS_PRINTED)
+    ode = OscillatorParams(args.mass, args.frequency, SpectrumConvention.ODE_DERIVED)
+    printed = OscillatorParams(args.mass, args.frequency, SpectrumConvention.AS_PRINTED)
     energy, zero_point = (energy_1d, 0.5) if dimension == "1d" else (energy_3d, 1.5)
     rows = []
     for n in range(args.n_max + 1):
         for branch in (Branch.POSITIVE, Branch.NEGATIVE):
             e_pr = energy(printed, n, branch)
-            e_nr = branch.sign * (config.mass + config.frequency * (n + zero_point))
+            e_nr = branch.sign * (args.mass + args.frequency * (n + zero_point))
             rows.append((n, branch.value, energy(ode, n, branch), e_pr, e_nr, e_pr - e_nr))
     header = ["n", "branch", "energy_ode_derived", "energy_as_printed", "energy_nonrel", "printed_minus_nonrel"]
     fields = {"dimension": dimension, "rows": [dict(zip(header, row)) for row in rows]}
-    return _emit(config, "spectrum", header, rows, fields)
+    return _emit(args, "spectrum", header, rows, fields)
 
 
-def cmd_orthonormality(config: RunConfig, args) -> int:
+def cmd_orthonormality(args) -> int:
     """Gram-matrix deviation report; fails (exit 1) above the 1e-9 gate."""
-    params, dimension, ell, n_max = config.params, args.dimension, args.ell, args.n_max
+    params, dimension, ell, n_max = _params(args), args.dimension, args.ell, args.n_max
     count = args.quad_count if args.quad_count is not None else n_max + 1
     if dimension == "1d":
         rule = gauss_hermite(count)
@@ -219,10 +203,10 @@ def cmd_orthonormality(config: RunConfig, args) -> int:
     passed = max(diag_dev, off_dev) <= GRAM_GATE
     header = ["dimension", "ell", "n_max", "quad_count", "max_diag_deviation", "max_offdiag_deviation", "passed"]
     row = (dimension, ell, n_max, rule.count, diag_dev, off_dev, passed)
-    return _emit(config, "orthonormality", header, [row], dict(zip(header, row)))
+    return _emit(args, "orthonormality", header, [row], dict(zip(header, row)))
 
 
-def cmd_closure(config: RunConfig, args) -> int:
+def cmd_closure(args) -> int:
     """Reconstruction sup-errors per truncation; fails (exit 1) if the
     error column is not non-increasing (within slack)."""
     try:
@@ -231,7 +215,7 @@ def cmd_closure(config: RunConfig, args) -> int:
         raise ValueError(f"bad --truncations value {args.truncations!r}") from None
     if not truncations or any(t < 0 for t in truncations):
         raise ValueError("truncations must be non-negative integers")
-    params, dimension, ell, fn_id = config.params, args.dimension, args.ell, args.test_function
+    params, dimension, ell, fn_id = _params(args), args.dimension, args.ell, args.test_function
     lam = params.lam
     count = args.quad_count if args.quad_count is not None else max(truncations) + 64
     catalogue = TEST_FUNCTIONS_1D if dimension == "1d" else TEST_FUNCTIONS_RADIAL
@@ -276,10 +260,10 @@ def cmd_closure(config: RunConfig, args) -> int:
         "errors": errors,
         "passed": passed,
     }
-    return _emit(config, "closure", header, rows, fields)
+    return _emit(args, "closure", header, rows, fields)
 
 
-def cmd_degeneracy(config: RunConfig, args) -> int:
+def cmd_degeneracy(args) -> int:
     """Shell table: modes, brute-force (2 ell + 1) sum, closed formula."""
     rows = []
     for N in range(args.n_max + 1):
@@ -290,16 +274,16 @@ def cmd_degeneracy(config: RunConfig, args) -> int:
         rows.append((N, mode_str, brute, formula, brute == formula))
     header = ["N", "shell_modes", "sum_2ellp1", "formula", "match"]
     fields = {"rows": [dict(zip(header, row)) for row in rows], "passed": all(row[-1] for row in rows)}
-    return _emit(config, "degeneracy", header, rows, fields)
+    return _emit(args, "degeneracy", header, rows, fields)
 
 
-def cmd_greens(config: RunConfig, args) -> int:
+def cmd_greens(args) -> int:
     """Green's function value plus the coefficient-identity residual;
     fails (exit 1) above the 1e-9 gate, exit 3 on pole proximity."""
     x1, x2 = args.x1, args.x2
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("--x1 and --x2 must be finite")
-    params, dimension, ell, energy_sq, n_max = config.params, args.dimension, args.ell, args.energy_sq, args.n_max
+    params, dimension, ell, energy_sq, n_max = _params(args), args.dimension, args.ell, args.energy_sq, args.n_max
     query = GreensQuery(probe_energy_sq=energy_sq, truncation=n_max, pole_guard=args.pole_guard)
     count = args.quad_count if args.quad_count is not None else n_max + 16
     k_max = min(10, n_max)
@@ -314,7 +298,7 @@ def cmd_greens(config: RunConfig, args) -> int:
     passed = deviation <= COEFF_GATE
     header = ["dimension", "ell", "energy_sq", "x1", "x2", "truncation", "value", "max_coefficient_deviation", "passed"]
     row = (dimension, ell, energy_sq, x1, x2, n_max, value, deviation, passed)
-    return _emit(config, "greens", header, [row], dict(zip(header, row)))
+    return _emit(args, "greens", header, [row], dict(zip(header, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=SpectrumConvention.ODE_DERIVED.value,
         help="spectrum convention (default: ode-derived)",
     )
-    common.add_argument("--format", choices=[f.value for f in OutputFormat], default="csv")
+    common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     # the rule-based commands work in one sector: 1D, or radial at one ell
@@ -377,14 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    config = RunConfig(
-        mass=args.mass,
-        frequency=args.frequency,
-        convention=SpectrumConvention(args.convention),
-        output_format=OutputFormat(args.format),
-        output_path=args.out,
-    )
-    if not (0 < config.mass < math.inf and 0 < config.frequency < math.inf):
+    if not (0 < args.mass < math.inf and 0 < args.frequency < math.inf):
         raise ValueError("mass and frequency must be positive and finite")
     if getattr(args, "n_max", 0) < 0:
         raise ValueError("--n-max must be >= 0")
@@ -394,7 +371,7 @@ def _run(args) -> int:
         raise ValueError("--ell is required with --dimension radial and accepted only there")
     if ell is not None and not 0 <= ell <= MAX_ELL:
         raise ValueError(f"--ell must lie in [0, {MAX_ELL}]")
-    return args.run(config, args)
+    return args.run(args)
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,8 @@ instead of building them again.
 
 Bad arguments raise QuadratureError: a node count outside [1, MAX_NODES],
 a Laguerre alpha that is not finite or not above -1, and a Legendre
-interval that is not finite with a < b.
+interval that is not finite with a < b.  So does a Hermite or Laguerre
+scan grid that brackets another number of roots than the rule has.
 """
 
 from __future__ import annotations
@@ -137,28 +138,20 @@ def _check_count(count):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_by_scan(fn, lo, hi, n_roots, m0):
-    """Bracket n_roots sign changes of fn on (lo, hi) by grid refinement.
+def _bracket_by_scan(fn, lo, hi, n_roots, m):
+    """Bracket n_roots sign changes of fn on an m-point grid over [lo, hi].
 
     Returns the lower and upper bracket ends and the sign of fn at the
-    lower ends.
+    lower ends.  A grid that shows another number of sign changes (a root
+    pair between two points, or fn exactly 0 at a point) raises
+    QuadratureError.
     """
-    m = m0
-    for _ in range(8):
-        grid = np.linspace(lo, hi, m)
-        vals = fn(grid)
-        if np.any(vals == 0.0):
-            # nudge the grid rather than handling exact zeros
-            grid = np.linspace(lo + 0.25 * (hi - lo) / m, hi, m)
-            vals = fn(grid)
-        signs = np.sign(vals)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if flips.size == n_roots:
-            return grid[flips], grid[flips + 1], signs[flips]
-        m *= 2
-    raise RuntimeError(
-        f"failed to bracket {n_roots} roots on ({lo}, {hi}); found {flips.size}"
-    )
+    grid = np.linspace(lo, hi, m)
+    signs = np.sign(fn(grid))
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    if flips.size != n_roots:
+        raise QuadratureError(f"scan found {flips.size} of {n_roots} roots on ({lo}, {hi}) with {m} points")
+    return grid[flips], grid[flips + 1], signs[flips]
 
 
 def _polish(fn_df, lo, hi, f_lo_sign):

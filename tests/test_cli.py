@@ -6,8 +6,11 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -462,6 +465,46 @@ def test_out_file_and_io_error(tmp_path, capsys):
     )
     assert code == 2
     assert "x.csv" in err
+
+
+ONE_PER_COMMAND = [
+    ["spectrum", "--n-max", "3"],
+    ["orthonormality", "--n-max", "20"],
+    ["closure", "--truncations", "10,20"],
+    ["degeneracy", "--n-max", "4"],
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    target = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--format", fmt, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+def test_json_config_echoes_the_flags(capsys, argv):
+    flags = ["--mass", "2.5", "--frequency", "0.5", "--convention", "as-printed", "--format", "json"]
+    _, out, _ = run_cli(capsys, *argv, *flags)
+    assert json.loads(out)["config"] == {"mass": 2.5, "frequency": 0.5, "convention": "as-printed"}
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S) for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("kgo ")]
+
+
+def test_readme_cli_examples_run_and_repeat(capsys):
+    examples = _readme_cli_examples()
+    assert {argv[0] for argv in examples} == {"spectrum", "orthonormality", "closure", "degeneracy", "greens"}
+    for argv in examples:
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0, argv
+        assert run_cli(capsys, *argv) == first, argv
 
 
 def test_negative_mass_is_usage_error(capsys):

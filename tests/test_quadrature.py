@@ -184,6 +184,12 @@ def test_count_limits():
     assert np.all(np.isfinite(rule.log_weights))
 
 
+def test_scan_that_misses_a_root_is_a_quadrature_error():
+    # cos has no sign change on (0.1, 1.0), and the scan does not refine
+    with pytest.raises(QuadratureError, match="found 0 of 1 roots"):
+        quadrature._bracket_by_scan(np.cos, 0.1, 1.0, 1, 64)
+
+
 def test_determinism():
     a = gauss_hermite(64)
     b = gauss_hermite(64)
