@@ -24,6 +24,7 @@ Output is deterministic: identical invocations produce identical bytes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -360,6 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every in-process main call shares, built on the first."""
+    return build_parser()
+
+
 def _run(args) -> int:
     if not (0 < args.mass < math.inf and 0 < args.frequency < math.inf):
         raise ValueError("mass and frequency must be positive and finite")
@@ -375,8 +382,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except PoleProximityError as exc:

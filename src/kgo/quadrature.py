@@ -33,6 +33,14 @@ at the rule's nodes (Gram matrices, projections, the closure driver and
 the Green's coefficient check) slice its first rows through _node_table
 instead of building them again.
 
+Nodes depend only on (count, alpha), so each process memoizes them:
+_hermite_nodes and _laguerre_nodes are functools.lru_cache'd at the default
+maxsize of 128 entries, at most 512 KB of nodes each.  They hand out
+read-only views, which numpy refuses to make writeable again, so no rule can
+alter the nodes later rules share.  Every gauss_hermite and gauss_laguerre
+call still checks its arguments and assembles its own rule, weights and
+Christoffel table; the tables, count^2 doubles each, are not memoized.
+
 Bad arguments raise QuadratureError: a node count outside [1, MAX_NODES],
 a Laguerre alpha that is not finite or not above -1, and a Legendre
 interval that is not finite with a < b.  So does a Hermite or Laguerre
@@ -41,6 +49,7 @@ scan grid that brackets another number of roots than the rule has.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -223,13 +232,9 @@ def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def gauss_hermite(count: int) -> QuadratureRule:
-    """Gaussian rule for integral f(x) exp(-x^2) dx over the real line.
-
-    Nodes are the roots of H_count; weights follow the Christoffel
-    identity through the normalized Hermite functions.
-    """
-    count = _check_count(count)
+@functools.lru_cache
+def _hermite_nodes(count):
+    """Read-only roots of H_count, ascending (memoized per process)."""
     upper = math.sqrt(2.0 * count + 1.0) + 0.5
 
     def h_pair(x):
@@ -240,6 +245,17 @@ def gauss_hermite(count: int) -> QuadratureRule:
     brackets = _bracket_by_scan(lambda x: h_pair(x)[0], upper * 1e-9, upper, count // 2, 4 * count + 64)
     pos = _polish(h_pair, *brackets)
     nodes = np.concatenate([-pos[::-1], [0.0], pos] if count % 2 else [-pos[::-1], pos])
+    return _freeze(nodes).view()
+
+
+def gauss_hermite(count: int) -> QuadratureRule:
+    """Gaussian rule for integral f(x) exp(-x^2) dx over the real line.
+
+    Nodes are the roots of H_count; weights follow the Christoffel
+    identity through the normalized Hermite functions.
+    """
+    count = _check_count(count)
+    nodes = _hermite_nodes(count)
     return _christoffel_rule(GAUSS_HERMITE, nodes, hermite_function_table(count - 1, nodes), -nodes * nodes)
 
 
@@ -248,18 +264,14 @@ def gauss_hermite(count: int) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
-    """Gaussian rule for integral f(rho) rho^alpha exp(-rho) drho on (0, inf).
+@functools.lru_cache
+def _laguerre_nodes(count, alpha):
+    """Read-only roots of L_count^(alpha), ascending (memoized per process).
 
     Root scanning runs in s = sqrt(rho), which spreads the near-origin
     clustering of Laguerre zeros into nearly uniform spacing; polishing
     runs in rho with the normalized-function derivative identity.
     """
-    count = _check_count(count)
-    alpha = float(alpha)
-    if not -1.0 < alpha < math.inf:
-        raise QuadratureError(f"Laguerre alpha must be finite and exceed -1, got {alpha}")
-
     upper = 2.0 * (2.0 * count + alpha + 1.0) + 2.0
 
     def lf_pair_rho(rho):
@@ -274,7 +286,20 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
     s_hi = math.sqrt(upper)
     m0 = max(128, 2 * int(math.ceil(upper)))
     s_lo, s_hi_b, f_lo_sign = _bracket_by_scan(lambda s: lf_pair_rho(s * s)[0], s_hi * 1e-9, s_hi, count, m0)
-    nodes = _polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign)
+    return _freeze(_polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign)).view()
+
+
+def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
+    """Gaussian rule for integral f(rho) rho^alpha exp(-rho) drho on (0, inf).
+
+    Nodes are the roots of L_count^(alpha); weights follow the Christoffel
+    identity through the normalized Laguerre functions.
+    """
+    count = _check_count(count)
+    alpha = float(alpha)
+    if not -1.0 < alpha < math.inf:
+        raise QuadratureError(f"Laguerre alpha must be finite and exceed -1, got {alpha}")
+    nodes = _laguerre_nodes(count, alpha)
     table = laguerre_function_table(count - 1, alpha, nodes)
     return _christoffel_rule(GAUSS_LAGUERRE, nodes, table, alpha * np.log(nodes) - nodes, alpha=alpha)
 

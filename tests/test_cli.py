@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgo.cli import TEST_FUNCTIONS_1D, TEST_FUNCTIONS_RADIAL, main
+from kgo import cli, quadrature
+from kgo.cli import TEST_FUNCTIONS_1D, TEST_FUNCTIONS_RADIAL, build_parser, main
 
 CLOSURE_SCHEMA = {
     "type": "object",
@@ -505,6 +506,52 @@ def test_readme_cli_examples_run_and_repeat(capsys):
         first = run_cli(capsys, *argv)
         assert first[0] == 0, argv
         assert run_cli(capsys, *argv) == first, argv
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clear_process_caches():
+    cli._parser.cache_clear()
+    quadrature._hermite_nodes.cache_clear()
+    quadrature._laguerre_nodes.cache_clear()
+
+
+SHARED_STATE_JOBS = [
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3", "--n-max", "20"],
+    ["greens", "--dimension", "radial", "--ell", "2", "--energy-sq", "9.7", "--x1", "0.7", "--x2", "1.1"],
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3", "--n-max", "20"],
+    ["closure", "--test-function", "poly-gaussian", "--truncations", "5,10"],
+    ["orthonormality", "--n-max", "20", "--quad-count", "36"],
+    ["orthonormality", "--dimension", "radial", "--ell", "2", "--n-max", "20", "--quad-count", "41"],
+    ["greens", "--dimension", "sphere", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"],
+    ["orthonormality", "--n-max", "5", "--quad-count", "600"],
+]
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_shared_parser_and_node_memo_keep_every_report(order):
+    """Jobs run back to back in one process, sharing the parser and the
+    rule nodes, report what each reports from cleared caches."""
+    expected = {}
+    for argv in SHARED_STATE_JOBS:
+        _clear_process_caches()
+        expected[tuple(argv)] = _run_in_process(argv)
+    assert sorted({code for code, _, _ in expected.values()}) == [0, 2, 3]
+    _clear_process_caches()
+    for argv in SHARED_STATE_JOBS[::order]:
+        assert _run_in_process(argv) == expected[tuple(argv)], argv
 
 
 def test_negative_mass_is_usage_error(capsys):
