@@ -153,6 +153,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -508,16 +518,6 @@ def test_readme_cli_examples_run_and_repeat(capsys):
         assert run_cli(capsys, *argv) == first, argv
 
 
-def _run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 def _clear_process_caches():
     cli._parser.cache_clear()
     quadrature._hermite_nodes.cache_clear()
@@ -718,19 +718,14 @@ def _reject_constant(name):
 @example(argv=["closure", "--mass=1e-24", "--frequency=1e-300"], fmt="csv")
 def test_argv_fuzz_exit_codes_and_finite_output(argv, fmt):
     """Any argv exits 0-3, and a run that exits 0 wrote only finite numbers."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv + ["--format", fmt])
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+    code, out, _ = _run_in_process(argv + ["--format", fmt])
     assert code in (0, 1, 2, 3)
     if code != 0:
         return
     if fmt == "json":
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        json.loads(out, parse_constant=_reject_constant)
         return
-    for row in parse_csv(out.getvalue())[1]:
+    for row in parse_csv(out)[1]:
         for cell in row:
             try:
                 value = float(cell)

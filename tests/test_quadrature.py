@@ -328,6 +328,26 @@ def test_laguerre_node_residual(count, alpha):
     assert np.all(np.abs(lf_k) <= 1e-10 * slope * gaps)
 
 
+def _clear_node_memos():
+    quadrature._hermite_nodes.cache_clear()
+    quadrature._laguerre_nodes.cache_clear()
+
+
+def _count_engine_sweeps(monkeypatch, *engines):
+    """Count calls to the named engines through quadrature's own names,
+    which only the root scan and polish use."""
+    calls = []
+    for engine in engines:
+        original = getattr(quadrature, engine)
+
+        def counted(*args, original=original):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(quadrature, engine, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "engine, build",
     [
@@ -347,26 +367,6 @@ def test_polish_converges_by_newton(monkeypatch, engine, build):
     _clear_node_memos()
     build()
     assert 1 <= len(calls) <= 15
-
-
-def _clear_node_memos():
-    quadrature._hermite_nodes.cache_clear()
-    quadrature._laguerre_nodes.cache_clear()
-
-
-def _count_engine_sweeps(monkeypatch, *engines):
-    """Count calls to the named engines through quadrature's own names,
-    which only the root scan and polish use."""
-    calls = []
-    for engine in engines:
-        original = getattr(quadrature, engine)
-
-        def counted(*args, original=original):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(quadrature, engine, counted)
-    return calls
 
 
 RULE_ARRAYS = ("nodes", "weights", "log_weights", "modified_weights", "_table")
