@@ -86,6 +86,8 @@ class OscillatorParams:
             raise ValueError(f"frequency must be positive and finite, got {self.frequency}")
         if self.mass * self.frequency == 0.0:
             raise ValueError(f"mass * frequency underflows to 0 (mass {self.mass}, frequency {self.frequency})")
+        # a value string such as "ode-derived" becomes its member; others raise ValueError
+        object.__setattr__(self, "convention", SpectrumConvention(self.convention))
 
     @property
     def lam(self) -> float:

@@ -157,7 +157,8 @@ def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
 
     Evaluated as sqrt(2 lambda) rho^(1/4) lf_{n_r}^(ell+1/2)(rho) with
     rho = lambda^2 r^2 and lf the normalized Laguerre function, which
-    keeps every factor bounded.  Accepts a scalar or an ndarray.
+    keeps every factor bounded.  Accepts a scalar or an ndarray of radii
+    r >= 0; a negative radius raises ValueError.
     """
     _check_radial_order(n_r, ell)
     rho, factor = _radial_argument(params, r)
@@ -168,10 +169,13 @@ def _radial_argument(params: OscillatorParams, r):
     """rho = lambda^2 r^2 and the factor sqrt(2 lambda) rho^(1/4) of
     R(r) = factor * lf(rho).  A huge finite r overflows rho to inf, where lf
     is 0; the factor is taken at the largest double instead, so R is 0 there
-    rather than inf * 0."""
+    rather than inf * 0.  A negative r is refused (-0.0 is the origin)."""
     lam = params.lam
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise ValueError(f"r must be >= 0, got {np.min(r)}")
     with np.errstate(over="ignore"):
-        rho = np.asarray(r, dtype=float) ** 2 * lam * lam
+        rho = r**2 * lam * lam
     return rho, math.sqrt(2.0 * lam) * np.minimum(rho, sys.float_info.max) ** 0.25
 
 

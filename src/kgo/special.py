@@ -20,14 +20,16 @@ not on every step: before each step the recurrence coefficients give a
 bound on how far any point's mantissa pair can move, and the pairs are
 rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
 only before a step that could take one of them out of the normal double
-range.  A table receives each order's raw mantissa as the recurrence runs.
-The rows between two rescales share one offset, so each such block is
-turned into values in place, once, at the rescale that ends it (or at the
-end), a bounded chunk of rows at a time.  The raw polynomials run their
-plain recurrences with the pair renormalized by a power of two at every
-step and the exponent counted apart; ``*_poly`` returns the float
-(OverflowError outside the double range), ``*_poly_scaled`` a
-``PolyValue`` mantissa/log pair there.
+range.  One loop serves both families: each engine supplies only its start
+offset, its far-point stand-in and the coefficient arrays that both the
+growth bound and the steps use.  A table receives each order's raw mantissa
+as the recurrence runs.  The rows between two rescales share one offset, so
+each such block is turned into values in place, once, at the rescale that
+ends it (or at the end), a bounded chunk of rows at a time.  The raw
+polynomials run their plain recurrences with the pair renormalized by a
+power of two at every step and the exponent counted apart; ``*_poly``
+returns the float (OverflowError outside the double range),
+``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -191,26 +193,11 @@ def _hermite_engine(n_max, xi, table=None):
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
     s = np.where(far, -np.inf, -0.5 * xi * xi - 0.25 * math.log(math.pi))
-    vk = np.ones_like(xi)
-    vkm1 = np.zeros_like(xi)
-    if table is not None:
-        table[0] = vk
     steps = np.arange(n_max)
-    a_max = np.max(np.abs(xi), initial=0.0) * np.sqrt(2.0 / (steps + 1))
-    rescale = _rescale_steps(a_max, np.sqrt(steps / (steps + 1.0)))
-    start = 0  # first row of the block that shares the offset s
-    for k in range(n_max):
-        if k in rescale:
-            if table is not None:
-                _materialize(table[start : k + 1], s)
-                start = k + 1
-            vk, vkm1, s = _renormalize(vk, vkm1, s)
-        vk, vkm1 = xi * math.sqrt(2.0 / (k + 1)) * vk - math.sqrt(k / (k + 1.0)) * vkm1, vk
-        if table is not None:
-            table[k + 1] = vk
-    if table is not None:
-        _materialize(table[start:], s)
-    return _renormalize(vk, vkm1, s)
+    q = np.sqrt(2.0 / (steps + 1))
+    a_max = np.max(np.abs(xi), initial=0.0) * q
+    a_steps = (xi * qk for qk in q.tolist())
+    return _recurrence(s, a_steps, np.sqrt(steps / (steps + 1.0)), a_max, table)
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +300,15 @@ def _laguerre_engine(n_max, alpha, rho, table=None):
     far = rho > _FAR_ARG
     rho = np.where(far, 1.0, rho)
     s = np.where(far, -np.inf, -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0))
-    vk = np.ones_like(rho)
-    vkm1 = np.zeros_like(rho)
-    if table is not None:
-        table[0] = vk
     # |A_k| is largest at an end of the rho range, since A_k is linear in rho
     steps = np.arange(n_max)
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
     c = 2 * steps + 1 + alpha
     norm = (steps + 1) * (steps + 1 + alpha)
-    a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / np.sqrt(norm)
-    rescale = _rescale_steps(a_max, np.sqrt(steps * (steps + alpha) / norm))
-    start = 0
-    for k in range(n_max):
-        if k in rescale:
-            if table is not None:
-                _materialize(table[start : k + 1], s)
-                start = k + 1
-            vk, vkm1, s = _renormalize(vk, vkm1, s)
-        a = (2 * k + 1 + alpha - rho) / math.sqrt((k + 1) * (k + 1 + alpha))
-        b = math.sqrt(k * (k + alpha) / ((k + 1) * (k + 1 + alpha)))
-        vk, vkm1 = a * vk - b * vkm1, vk
-        if table is not None:
-            table[k + 1] = vk
-    if table is not None:
-        _materialize(table[start:], s)
-    return _renormalize(vk, vkm1, s)
+    d = np.sqrt(norm)
+    a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / d
+    a_steps = ((ck - rho) / dk for ck, dk in zip(c.tolist(), d.tolist()))
+    return _recurrence(s, a_steps, np.sqrt(steps * (steps + alpha) / norm), a_max, table)
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +476,36 @@ def _rescale_steps(a_max, b):
     return steps
 
 
+def _recurrence(s, a_steps, b, a_max, table=None):
+    """The one loop of both engines: v_{k+1} = a_k v_k - b_k v_{k-1} from
+    v_0 = 1, v_{-1} = 0 at the points of the log offset s, where
+    ``a_steps`` yields each step's array a_k and |a_k| <= a_max[k], the
+    bound the growth budget spends.  Returns and fills ``table`` as
+    :func:`_hermite_engine` documents."""
+    vk, vkm1 = np.ones_like(s), np.zeros_like(s)
+    if table is not None:
+        table[0] = vk
+    rescale = _rescale_steps(a_max, b)
+    start = 0  # first row of the block that shares the offset s
+    for k, (a, bk) in enumerate(zip(a_steps, b.tolist())):
+        if k in rescale:
+            if table is not None:
+                _materialize(table[start : k + 1], s)
+                start = k + 1
+            vk, vkm1, s = _renormalize(vk, vkm1, s)
+        vk, vkm1 = a * vk - bk * vkm1, vk
+        if table is not None:
+            table[k + 1] = vk
+    if table is not None:
+        _materialize(table[start:], s)
+    return _renormalize(vk, vkm1, s)
+
+
 def _renormalize(vk, vkm1, s):
     """Pull mantissa pairs back into [1/_RESCALE, _RESCALE] per point.
 
-    The engines call this only when their growth budget runs out and once
-    before returning; a pair then lies within one factor _RESCALE of that
+    The recurrence loop calls this only when its growth budget runs out and
+    once before returning; a pair then lies within one factor _RESCALE of that
     range, and the power-of-two rescale changes no mantissa bit (unless it
     takes the smaller value of a pair below the normal range).
     """

@@ -601,6 +601,8 @@ def test_bad_input_is_usage_error(capsys, argv):
             3,
         ),
         (["greens", "--mass", "1e154", "--frequency", "5e153", "--energy-sq", "2", "--x1", "0", "--x2", "0.5"], 3),
+        (["greens", "--dimension", "radial", "--ell", "1", "--energy-sq", "9.3", "--x1", "-0.2", "--x2", "0.3"], 2),
+        (["greens", "--dimension", "radial", "--ell", "1", "--energy-sq", "9.3", "--x1", "0.2", "--x2", "-0.3"], 2),
     ],
 )
 def test_rejected_input_writes_one_stderr_line(argv, code):
@@ -628,6 +630,15 @@ def test_huge_finite_argument_reports_zero(argv):
     assert proc.stderr == ""
     row = dict(zip(*csv.reader(io.StringIO(proc.stdout))))
     assert float(row["value"]) == 0.0
+
+
+def test_negative_zero_radius_is_the_origin():
+    """A negative radius is refused (see above), as Point3 refuses it, but
+    -0.0 is the origin: it reports the value at 0."""
+    argv = ["greens", "--dimension", "radial", "--ell", "1", "--energy-sq", "9.3", "--x2", "0.3", "--format", "json"]
+    reports = [_run_in_process([*argv, "--x1", x1]) for x1 in ("-0.0", "0")]
+    assert [code for code, _, _ in reports] == [0, 0]
+    assert json.loads(reports[0][1])["value"] == json.loads(reports[1][1])["value"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -111,6 +111,19 @@ def test_params_validation():
         OscillatorParams(1.0, math.nan)
     with pytest.raises(ValueError):
         OscillatorParams(1e-24, 1e-300)
+    with pytest.raises(ValueError):
+        OscillatorParams(1.0, 1.0, "printed")
+
+
+def test_params_convention_accepts_its_value_string():
+    """A convention given by its value is the member itself, so "ode-derived"
+    gives the ode-derived spectrum."""
+    for convention in SpectrumConvention:
+        params = OscillatorParams(1.0, 1.0, convention.value)
+        assert params.convention is convention
+        assert params == OscillatorParams(1.0, 1.0, convention)
+    assert energy_1d(OscillatorParams(1.0, 1.0, "ode-derived"), 3, Branch.POSITIVE) == math.sqrt(7.0)
+    assert energy_1d(OscillatorParams(1.0, 1.0, "as-printed"), 3, Branch.POSITIVE) == math.sqrt(8.0)
 
 
 # ---------------------------------------------------------------------------

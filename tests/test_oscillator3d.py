@@ -159,6 +159,22 @@ def test_radial_order_limits(unit_params):
         radial_eigenfunction(unit_params, 201, 0, 1.0)
 
 
+def test_negative_radius_is_refused(unit_params, laguerre_rule_cache):
+    """A radius below 0 is refused, not evaluated at |r|, by every radial
+    evaluator; -0.0 is the origin."""
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        radial_eigenfunction(unit_params, 1, 1, -0.7)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        radial_eigenfunction(unit_params, 1, 1, np.array([0.7, -0.2]))
+    proj = project_radial(unit_params, 1, 6, lambda r: r * r * math.exp(-r * r), laguerre_rule_cache(16, 1.5))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        reconstruct_radial(proj, np.array([0.3, -0.3]))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        radial_closure_kernel(unit_params, 1, 4, 0.5, -0.5)
+    assert radial_eigenfunction(unit_params, 1, 1, -0.0) == radial_eigenfunction(unit_params, 1, 1, 0.0) == 0.0
+    assert reconstruct_radial(proj, -0.0) == reconstruct_radial(proj, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # radial orthonormality
 # ---------------------------------------------------------------------------

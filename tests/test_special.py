@@ -270,6 +270,60 @@ def test_table_memory_stays_near_the_table(build):
     assert peak <= 1.10 * table.nbytes, peak / table.nbytes
 
 
+# Point sets for the budget test: the origin, mixed magnitudes, and points
+# beyond _FAR_ARG, where the engines run the recurrence at a stand-in point.
+BUDGET_XI = np.array([0.0, -0.0, 1e-3, -0.7, 5.0, -30.0, 1e3, -1e12, 1e20, 2e28, -1e29, 1e300, np.inf, -np.inf])
+BUDGET_RHO = np.array([0.0, 1e-3, 0.7, 5.0, 900.0, 1e6, 1e12, 2e28, 1e300, np.inf])
+
+
+def _record_recurrences(monkeypatch):
+    """Wrap special._recurrence and special._rescale_steps; the returned list
+    gets, per engine run, the a_k arrays the loop applied, its b, and the
+    (a_max, b) pair the growth budget was given."""
+    runs = []
+    recurrence, rescale_steps = special._recurrence, special._rescale_steps
+
+    def recorded_rescale_steps(a_max, b):
+        runs[-1]["budget"] = a_max.copy(), b.copy()
+        return rescale_steps(a_max, b)
+
+    def recorded_recurrence(s, a_steps, b, a_max, table=None):
+        a_list = [a.copy() for a in a_steps]
+        runs.append({"a": a_list, "b": b.copy()})
+        return recurrence(s, iter(a_list), b, a_max, table)
+
+    monkeypatch.setattr(special, "_recurrence", recorded_recurrence)
+    monkeypatch.setattr(special, "_rescale_steps", recorded_rescale_steps)
+    return runs
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("family", ["hermite", "-0.5", "0", "0.5", "64.5", "1e3"])
+def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
+    """Whatever the points, each step's |a_k| at every non-far point is within
+    the a_max[k] the growth budget spent, and the b_k the loop applies are
+    the entries the budget was given, in tables and single evaluations."""
+    runs = _record_recurrences(monkeypatch)
+    if family == "hermite":
+        points = BUDGET_XI
+        hermite_function_table(n, points)
+        hermite_function(n, points)
+        near = np.abs(points) <= special._FAR_ARG
+    else:
+        points = BUDGET_RHO
+        laguerre_function_table(n, float(family), points)
+        laguerre_function(n, float(family), points)
+        near = points <= special._FAR_ARG
+    assert len(runs) == 2
+    for run in runs:
+        a_max, b = run["budget"]
+        assert len(run["a"]) == len(a_max) == len(b) == n
+        assert run["b"].tobytes() == b.tobytes()
+        for k, a in enumerate(run["a"]):
+            assert a.shape == points.shape
+            assert np.all(np.abs(a[near]) <= a_max[k]), (k, a[near], a_max[k])
+
+
 def test_hermite_recurrence_vs_series(rng):
     for _ in range(100):
         n = int(rng.integers(0, 51))
