@@ -106,6 +106,8 @@ class Mode1D:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        # a value string such as "positive" becomes its member; others raise ValueError
+        object.__setattr__(self, "branch", Branch(self.branch))
         if self.energy * self.branch.sign < 0:
             raise ValueError("energy sign must match the branch")
 
@@ -142,7 +144,7 @@ def energy_1d(params: OscillatorParams, n: int, branch: Branch) -> float:
     """Branch-signed energy of level n under the configured convention."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return branch.sign * math.sqrt(_energy_sq(params, n, 1))
+    return Branch(branch).sign * math.sqrt(_energy_sq(params, n, 1))
 
 
 def mode_1d(params: OscillatorParams, n: int, branch: Branch) -> Mode1D:

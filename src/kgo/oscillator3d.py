@@ -93,6 +93,8 @@ class RadialMode:
             raise ValueError("n_r and ell must be >= 0")
         if self.N != 2 * self.n_r + self.ell:
             raise ValueError("N must equal 2 n_r + ell")
+        # a value string such as "positive" becomes its member; others raise ValueError
+        object.__setattr__(self, "branch", Branch(self.branch))
 
 
 def radial_mode(n_r: int, ell: int, branch: Branch = Branch.POSITIVE) -> RadialMode:
@@ -128,7 +130,7 @@ def energy_3d(params: OscillatorParams, N: int, branch: Branch) -> float:
     ode-derived E^2 = m^2 + 2 m w N, as-printed E^2 = m^2 + m w (2N + 3)."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return branch.sign * math.sqrt(_energy_sq(params, N, 3))
+    return Branch(branch).sign * math.sqrt(_energy_sq(params, N, 3))
 
 
 def degeneracy(N: int) -> int:

@@ -26,9 +26,10 @@ growth bound and the steps use.  A table receives each order's raw mantissa
 as the recurrence runs.  The rows between two rescales share one offset, so
 each such block is turned into values in place, once, at the rescale that
 ends it (or at the end), a bounded chunk of rows at a time.  The raw
-polynomials run their plain recurrences with the pair renormalized by a
-power of two at every step and the exponent counted apart; ``*_poly``
-returns the float (OverflowError outside the double range),
+polynomials share one loop too, ``_raw_recurrence``: each family supplies
+only the coefficients of its plain recurrence, and the loop renormalizes
+the pair by a power of two at every step and counts the exponent apart;
+``*_poly`` returns the float (OverflowError outside the double range),
 ``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
 """
 
@@ -151,11 +152,7 @@ def _hermite_raw(n, xi):
     """
     _check_degree(n)
     xi = _check_finite(xi)
-    qkm1, qk, e = 0.0, 1.0, n
-    for k in range(n):
-        qkm1, qk = qk, xi * qk - 0.5 * k * qkm1
-        qk, qkm1, e = _rescale_pair(qk, qkm1, e)
-    return qk, e
+    return _raw_recurrence(((xi, 0.5 * k, 1) for k in range(n)), n)
 
 
 def hermite_function(n: int, xi):
@@ -208,36 +205,25 @@ def _hermite_engine(n_max, xi, table=None):
 def laguerre_poly(n: int, alpha: float, rho: float) -> float:
     """Generalized Laguerre polynomial L_n^(alpha)(rho) by the raw
     recurrence (k+1) L_{k+1} = (2k+1+alpha-rho) L_k - (k+alpha) L_{k-1}."""
-    _check_degree(n)
-    _check_alpha(alpha)
-    rho = float(rho)
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    return _as_float(*_laguerre_raw(n, alpha, rho), f"L_{n}^({alpha})({rho})", "laguerre_function")
+    return _as_float(*_laguerre_raw(n, alpha, rho), f"L_{n}^({alpha})({float(rho)})", "laguerre_function")
 
 
 def laguerre_poly_scaled(n: int, alpha: float, rho: float) -> PolyValue:
-    """L_n^(alpha)(rho) as a PolyValue, valid for every finite rho > 0: a
+    """L_n^(alpha)(rho) as a PolyValue, valid for every finite rho >= 0: a
     plain float where it is a normal double, else a mantissa and a log
     offset."""
-    _check_degree(n)
-    _check_alpha(alpha)
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError("scaled Laguerre evaluation requires rho > 0")
     return _poly_value(*_laguerre_raw(n, alpha, rho))
 
 
 def _laguerre_raw(n, alpha, rho):
-    """(m, e) with L_n^(alpha)(rho) = m 2^e for finite alpha and rho, by
-    the raw recurrence with the pair renormalized by a power of two at
-    every step."""
-    alpha, rho = _check_finite(alpha), _check_finite(rho)
-    lkm1, lk, e = 0.0, 1.0, 0
-    for k in range(n):
-        lkm1, lk = lk, ((2 * k + 1 + alpha - rho) * lk - (k + alpha) * lkm1) / (k + 1)
-        lk, lkm1, e = _rescale_pair(lk, lkm1, e)
-    return lk, e
+    """(m, e) with L_n^(alpha)(rho) = m 2^e, for finite rho >= 0."""
+    _check_degree(n)
+    _check_alpha(alpha)
+    alpha, rho = float(alpha), float(rho)
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    _check_finite(rho)
+    return _raw_recurrence(((2 * k + 1 + alpha - rho, k + alpha, k + 1) for k in range(n)), 0)
 
 
 def laguerre_function(n: int, alpha: float, rho):
@@ -248,44 +234,37 @@ def laguerre_function(n: int, alpha: float, rho):
     diverges at rho = 0 and +inf is returned there).  Accepts a scalar or
     an ndarray.
     """
-    _check_degree(n)
-    _check_alpha(alpha)
-    arr = np.asarray(rho, dtype=float)
-    if not np.all(arr >= 0):  # a nan point fails too
-        raise ValueError("rho must be >= 0")
-    flat = arr.ravel()
-    origin = flat == 0.0
-    v, _, s = _laguerre_engine(n, alpha, np.where(origin, 1.0, flat))
+    rho, origin, at_origin = _laguerre_points(n, alpha, rho)
+    v, _, s = _laguerre_engine(n, alpha, rho.ravel())
     _materialize(v[np.newaxis], s)
-    if np.any(origin):
-        v[origin] = _laguerre_origin_value(alpha)
-    out = v.reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
+    v[origin.ravel()] = at_origin
+    out = v.reshape(rho.shape)
+    return float(out) if rho.ndim == 0 else out
 
 
 def laguerre_function_table(n_max: int, alpha: float, rho) -> np.ndarray:
     """All normalized Laguerre functions of order 0..n_max at the given
     points, shape (n_max+1, npts)."""
-    _check_degree(n_max)
-    _check_alpha(alpha)
-    arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all(arr >= 0):  # a nan point fails too
-        raise ValueError("rho must be >= 0")
-    origin = arr == 0.0
-    table = np.empty((n_max + 1, arr.size))
-    _laguerre_engine(n_max, alpha, np.where(origin, 1.0, arr), table)
-    table[:, origin] = _laguerre_origin_value(alpha)
+    rho, origin, at_origin = _laguerre_points(n_max, alpha, np.atleast_1d(rho))
+    table = np.empty((n_max + 1, rho.size))
+    _laguerre_engine(n_max, alpha, rho, table)
+    table[:, origin] = at_origin
     return table
 
 
-def _laguerre_origin_value(alpha):
-    # lf_k(0) = rho^(alpha/2) * positive factor as rho -> 0+; for alpha = 0
-    # the normalization makes every order exactly 1 at the origin.
-    if alpha > 0:
-        return 0.0
-    if alpha == 0:
-        return 1.0
-    return math.inf
+def _laguerre_points(n, alpha, rho):
+    """Check a normalized Laguerre order, alpha and points rho >= 0; return
+    the points with the stand-in 1.0 at the origin, the origin mask and the
+    value there: lf_k(0) = rho^(alpha/2) * positive factor as rho -> 0+, and
+    for alpha = 0 the normalization makes every order exactly 1."""
+    _check_degree(n)
+    _check_alpha(alpha)
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho >= 0):  # a nan point fails too
+        raise ValueError("rho must be >= 0")
+    origin = rho == 0.0
+    at_origin = 0.0 if alpha > 0 else 1.0 if alpha == 0 else math.inf
+    return np.where(origin, 1.0, rho), origin, at_origin
 
 
 def _laguerre_engine(n_max, alpha, rho, table=None):
@@ -429,13 +408,6 @@ def _check_finite(x):
     return x
 
 
-def _rescale_pair(vk, vkm1, e):
-    """Scale a raw recurrence pair by the power of two that puts its larger
-    magnitude in [1/2, 1), moving that power into the exponent e."""
-    shift = math.frexp(max(abs(vk), abs(vkm1)))[1]
-    return math.ldexp(vk, -shift), math.ldexp(vkm1, -shift), e + shift
-
-
 def _as_float(m, e, what, fallback):
     """m 2^e as a float; OverflowError naming the normalized evaluator."""
     try:
@@ -453,6 +425,20 @@ def _poly_value(m, e):
     if mant == 0.0 or sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
         return PolyValue(math.ldexp(mant, exp))
     return PolyValue(mant, exp * math.log(2.0))
+
+
+def _raw_recurrence(steps, e):
+    """(m, e') with v_n = m 2^e', for v_{k+1} = (a_k v_k - b_k v_{k-1}) / c_k
+    over the (a_k, b_k, c_k) that ``steps`` yields, from v_0 = 2^e and
+    v_{-1} = 0.  After every step the pair is scaled by the power of two
+    that puts its larger magnitude in [1/2, 1), and that power moves into
+    the exponent."""
+    vkm1, vk = 0.0, 1.0
+    for a, b, c in steps:
+        vkm1, vk = vk, (a * vk - b * vkm1) / c
+        shift = math.frexp(max(abs(vk), abs(vkm1)))[1]
+        vk, vkm1, e = math.ldexp(vk, -shift), math.ldexp(vkm1, -shift), e + shift
+    return vk, e
 
 
 def _rescale_steps(a_max, b):

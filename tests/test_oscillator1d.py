@@ -126,6 +126,22 @@ def test_params_convention_accepts_its_value_string():
     assert energy_1d(OscillatorParams(1.0, 1.0, "as-printed"), 3, Branch.POSITIVE) == math.sqrt(8.0)
 
 
+def test_branch_accepts_its_value_string(unit_params):
+    """A branch given by its value acts as the member in energy_1d and
+    Mode1D; an unknown value raises ValueError."""
+    for branch in Branch:
+        assert energy_1d(unit_params, 3, branch.value) == energy_1d(unit_params, 3, branch)
+        mode = mode_1d(unit_params, 3, branch.value)
+        assert mode.branch is branch
+        assert mode == mode_1d(unit_params, 3, branch)
+    with pytest.raises(ValueError, match="energy sign"):
+        Mode1D(n=0, branch="negative", energy=1.0)
+    with pytest.raises(ValueError, match="is not a valid Branch"):
+        energy_1d(unit_params, 3, "up")
+    with pytest.raises(ValueError, match="is not a valid Branch"):
+        Mode1D(n=3, branch="up", energy=1.0)
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------

@@ -114,6 +114,21 @@ def test_mode_validation():
         Point3(math.inf, AngularPoint(0.1, 0.1))
 
 
+def test_branch_accepts_its_value_string(unit_params):
+    """A branch given by its value acts as the member in energy_3d and
+    RadialMode; an unknown value raises ValueError."""
+    for branch in Branch:
+        assert energy_3d(unit_params, 3, branch.value) == energy_3d(unit_params, 3, branch)
+        mode = radial_mode(1, 2, branch.value)
+        assert mode.branch is branch
+        assert mode == radial_mode(1, 2, branch)
+    assert energy_3d(unit_params, 3, "negative") == -math.sqrt(7.0)
+    with pytest.raises(ValueError, match="is not a valid Branch"):
+        energy_3d(unit_params, 3, "up")
+    with pytest.raises(ValueError, match="is not a valid Branch"):
+        radial_mode(1, 2, "up")
+
+
 # ---------------------------------------------------------------------------
 # radial eigenfunctions
 # ---------------------------------------------------------------------------

@@ -395,6 +395,28 @@ def test_laguerre_function_trivial_values():
     assert laguerre_function(1, 0.5, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("alpha, expected", [(-0.5, math.inf), (0.0, 1.0), (0.5, 0.0)])
+def test_laguerre_function_origin_in_every_shape(alpha, expected):
+    """At rho = 0 every order is inf for alpha < 0, 1 for alpha = 0 and 0
+    for alpha > 0: as a scalar, inside a 1-D set next to positive points,
+    in a 2-D array and in every row of a table, while the positive points
+    keep their values."""
+    assert laguerre_function(7, alpha, 0.0) == expected
+    mixed = np.array([2.5, 0.0, 40.0, 0.0])
+    values = laguerre_function(7, alpha, mixed)
+    assert np.all(values[[1, 3]] == expected)
+    assert values[0] == laguerre_function(7, alpha, 2.5)
+    assert values[2] == laguerre_function(7, alpha, 40.0)
+    grid = laguerre_function(7, alpha, mixed.reshape(2, 2))
+    assert grid.shape == (2, 2)
+    assert np.array_equal(grid.ravel(), values)
+    table = laguerre_function_table(7, alpha, mixed)
+    assert np.all(table[:, [1, 3]] == expected)
+    assert np.all(np.isfinite(table[:, [0, 2]]))
+    for n in range(8):
+        assert table[n, 1] == laguerre_function(n, alpha, 0.0)
+
+
 def test_laguerre_function_against_mpmath():
     mine = laguerre_function(30, 2.5, 40.0)
     oracle = float(laguerre_function_oracle(30, 2.5, 40.0))
@@ -423,6 +445,29 @@ def test_laguerre_function_table_matches_single_evaluations():
 def test_laguerre_poly_scaled_roundtrip():
     pv = laguerre_poly_scaled(15, 0.5, 7.0)
     assert pv.reconstruct() == pytest.approx(laguerre_poly(15, 0.5, 7.0), rel=1e-11)
+
+
+@pytest.mark.parametrize("n, alpha", [(5, 0.5), (300, 64.5), (500, 1000.0)])
+def test_laguerre_poly_at_the_origin(n, alpha):
+    """L_n^(alpha)(0) = Gamma(n+alpha+1) / (n! Gamma(alpha+1)): the scaled
+    form matches it in the log, also beyond the double range (about e^951
+    at n = 500, alpha = 1000), and the float form equals it in range."""
+    pv = laguerre_poly_scaled(n, alpha, 0.0)
+    log_true = math.lgamma(n + alpha + 1) - math.lgamma(n + 1) - math.lgamma(alpha + 1)
+    log_mine = pv.log_scale + math.log(abs(pv.value))
+    assert pv.value > 0.0
+    assert abs(log_mine - log_true) <= 1e-12 * abs(log_true)
+    if pv.log_scale == 0.0:
+        assert laguerre_poly(n, alpha, 0.0) == pv.value
+    else:
+        with pytest.raises(OverflowError, match="laguerre_function"):
+            laguerre_poly(n, alpha, 0.0)
+
+
+@pytest.mark.parametrize("evaluate", [laguerre_poly, laguerre_poly_scaled])
+def test_raw_laguerre_refuses_negative_rho(evaluate):
+    with pytest.raises(ValueError, match=r"^rho must be >= 0, got -1\.0$"):
+        evaluate(5, 0.5, -1.0)
 
 
 def test_laguerre_alpha_validation():
@@ -598,6 +643,7 @@ def _well_conditioned_oracle(kind, n, alpha, x):
 @example(kind="hermite_poly_scaled", n=5, alpha=0.0, x=1e30)
 @example(kind="laguerre_poly_scaled", n=5, alpha=0.5, x=1e20)
 @example(kind="laguerre_poly_scaled", n=5, alpha=0.5, x=math.inf)
+@example(kind="laguerre_poly_scaled", n=500, alpha=200.0, x=0.0)
 def test_special_functions_at_every_magnitude(kind, n, alpha, x):
     """Each result is a finite float, a PolyValue with a finite mantissa and
     log offset, or a documented ValueError (a non-finite polynomial
