@@ -124,11 +124,7 @@ def _csv_escape(cell: str) -> str:
     return cell
 
 
-class _NonFiniteError(ArithmeticError):
-    pass
-
-
-def _emit(args, command: str, header: list[str], rows: list[tuple], fields: dict) -> int:
+def _emit(args, header: list[str], rows: list[tuple], fields: dict) -> int:
     """Write one report and return its exit code.
 
     CSV is ``header`` plus ``rows``; JSON is ``fields`` under the common
@@ -139,14 +135,14 @@ def _emit(args, command: str, header: list[str], rows: list[tuple], fields: dict
     for row in rows:
         for name, cell in zip(header, row):
             if isinstance(cell, float) and not math.isfinite(cell):
-                raise _NonFiniteError(f"{name} is not finite")
+                raise OverflowError(f"{name} is not finite")
     if args.format == "csv":
         lines = [header] + [[_csv_escape(_fmt(cell)) for cell in row] for row in rows]
         text = "".join(",".join(line) + "\n" for line in lines)
     else:
         payload = {
             "schema_version": "1",
-            "command": command,
+            "command": args.command,
             "config": {"mass": args.mass, "frequency": args.frequency, "convention": args.convention},
             **fields,
         }
@@ -168,7 +164,7 @@ def _emit(args, command: str, header: list[str], rows: list[tuple], fields: dict
 
 
 def _params(args) -> OscillatorParams:
-    return OscillatorParams(args.mass, args.frequency, SpectrumConvention(args.convention))
+    return OscillatorParams(args.mass, args.frequency, args.convention)
 
 
 def cmd_spectrum(args) -> int:
@@ -186,7 +182,7 @@ def cmd_spectrum(args) -> int:
             rows.append((n, branch.value, energy(ode, n, branch), e_pr, e_nr, e_pr - e_nr))
     header = ["n", "branch", "energy_ode_derived", "energy_as_printed", "energy_nonrel", "printed_minus_nonrel"]
     fields = {"dimension": dimension, "rows": [dict(zip(header, row)) for row in rows]}
-    return _emit(args, "spectrum", header, rows, fields)
+    return _emit(args, header, rows, fields)
 
 
 def cmd_orthonormality(args) -> int:
@@ -204,7 +200,7 @@ def cmd_orthonormality(args) -> int:
     passed = max(diag_dev, off_dev) <= GRAM_GATE
     header = ["dimension", "ell", "n_max", "quad_count", "max_diag_deviation", "max_offdiag_deviation", "passed"]
     row = (dimension, ell, n_max, rule.count, diag_dev, off_dev, passed)
-    return _emit(args, "orthonormality", header, [row], dict(zip(header, row)))
+    return _emit(args, header, [row], dict(zip(header, row)))
 
 
 def cmd_closure(args) -> int:
@@ -261,7 +257,7 @@ def cmd_closure(args) -> int:
         "errors": errors,
         "passed": passed,
     }
-    return _emit(args, "closure", header, rows, fields)
+    return _emit(args, header, rows, fields)
 
 
 def cmd_degeneracy(args) -> int:
@@ -275,7 +271,7 @@ def cmd_degeneracy(args) -> int:
         rows.append((N, mode_str, brute, formula, brute == formula))
     header = ["N", "shell_modes", "sum_2ellp1", "formula", "match"]
     fields = {"rows": [dict(zip(header, row)) for row in rows], "passed": all(row[-1] for row in rows)}
-    return _emit(args, "degeneracy", header, rows, fields)
+    return _emit(args, header, rows, fields)
 
 
 def cmd_greens(args) -> int:
@@ -299,7 +295,7 @@ def cmd_greens(args) -> int:
     passed = deviation <= COEFF_GATE
     header = ["dimension", "ell", "energy_sq", "x1", "x2", "truncation", "value", "max_coefficient_deviation", "passed"]
     row = (dimension, ell, energy_sq, x1, x2, n_max, value, deviation, passed)
-    return _emit(args, "greens", header, [row], dict(zip(header, row)))
+    return _emit(args, header, [row], dict(zip(header, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,7 @@ def main(argv=None) -> int:
     except PoleProximityError as exc:
         print(f"kgo: pole proximity: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (QuadratureError, IntegrandError, OverflowError, _NonFiniteError) as exc:
+    except (QuadratureError, IntegrandError, OverflowError) as exc:
         print(f"kgo: numeric contract violation: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -28,6 +28,7 @@ from .oscillator1d import (
     _spectral_sum,
 )
 from .oscillator3d import _Radial
+from .special import _check_degree
 
 __all__ = [
     "GreensQuery",
@@ -50,8 +51,7 @@ class GreensQuery:
     def __post_init__(self):
         if not math.isfinite(self.probe_energy_sq):
             raise ValueError(f"probe energy squared must be finite, got {self.probe_energy_sq}")
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
+        _check_degree(self.truncation, "truncation")
         if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import IntegrandError, PoleProximityError, QuadratureError
 from .quadrature import GAUSS_HERMITE, QuadratureRule, _node_table
-from .special import hermite_function, hermite_function_table
+from .special import _check_degree, hermite_function, hermite_function_table
 
 __all__ = [
     "SpectrumConvention",
@@ -104,8 +104,7 @@ class Mode1D:
     energy: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        _check_degree(self.n, "n")
         # a value string such as "positive" becomes its member; others raise ValueError
         object.__setattr__(self, "branch", Branch(self.branch))
         if self.energy * self.branch.sign < 0:
@@ -142,8 +141,7 @@ def _energy_sq(params: OscillatorParams, shell, dimension: int):
 
 def energy_1d(params: OscillatorParams, n: int, branch: Branch) -> float:
     """Branch-signed energy of level n under the configured convention."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_degree(n, "n")
     return Branch(branch).sign * math.sqrt(_energy_sq(params, n, 1))
 
 
@@ -153,8 +151,7 @@ def mode_1d(params: OscillatorParams, n: int, branch: Branch) -> Mode1D:
 
 def nonrel_energy(params: OscillatorParams, n: int) -> float:
     """Non-relativistic limit value m + w (n + 1/2) of the positive branch."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_degree(n, "n")
     return params.mass + params.frequency * (n + 0.5)
 
 
@@ -217,7 +214,7 @@ class _Line:
     def table(self, n_max: int, x) -> np.ndarray:
         lam = self.params.lam
         with np.errstate(over="ignore"):
-            xi = lam * np.atleast_1d(np.asarray(x, dtype=float))
+            xi = lam * np.asarray(x, dtype=float)
         return math.sqrt(lam) * hermite_function_table(n_max, xi)
 
 
@@ -307,8 +304,7 @@ def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -
 
 def closure_kernel_1d(params: OscillatorParams, N: int, x: float, x2: float) -> float:
     """Truncated closure kernel K_N(x, x') = sum_{n<=N} psi_n(x) psi_n(x')."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _check_degree(N, "N")
     return _pair_sum(_Line(params), N, x, x2)
 
 

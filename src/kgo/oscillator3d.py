@@ -46,6 +46,7 @@ from .oscillator1d import (
 from .quadrature import GAUSS_LAGUERRE, QuadratureRule, _node_table, gauss_legendre
 from .special import (
     AngularPoint,
+    _check_degree,
     laguerre_function,
     laguerre_function_table,
     legendre_p,
@@ -89,8 +90,8 @@ class RadialMode:
     branch: Branch
 
     def __post_init__(self):
-        if self.n_r < 0 or self.ell < 0:
-            raise ValueError("n_r and ell must be >= 0")
+        _check_degree(self.n_r, "n_r")
+        _check_degree(self.ell, "ell")
         if self.N != 2 * self.n_r + self.ell:
             raise ValueError("N must equal 2 n_r + ell")
         # a value string such as "positive" becomes its member; others raise ValueError
@@ -109,6 +110,7 @@ class Mode3D:
     m: int
 
     def __post_init__(self):
+        _check_degree(abs(self.m), "|m|")
         if abs(self.m) > self.radial.ell:
             raise ValueError(f"|m| = {abs(self.m)} exceeds ell = {self.radial.ell}")
 
@@ -128,22 +130,19 @@ class Point3:
 def energy_3d(params: OscillatorParams, N: int, branch: Branch) -> float:
     """Branch-signed energy of shell N under the configured convention:
     ode-derived E^2 = m^2 + 2 m w N, as-printed E^2 = m^2 + m w (2N + 3)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _check_degree(N, "N")
     return Branch(branch).sign * math.sqrt(_energy_sq(params, N, 3))
 
 
 def degeneracy(N: int) -> int:
     """Number of (ell, m) states in shell N: (N+1)(N+2)/2."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _check_degree(N, "N")
     return (N + 1) * (N + 2) // 2
 
 
 def shell_modes(N: int) -> list[tuple[int, int]]:
     """All (n_r, ell) with 2 n_r + ell = N, sorted by descending ell."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    _check_degree(N, "N")
     return [((N - ell) // 2, ell) for ell in range(N, -1, -2)]
 
 
@@ -152,6 +151,8 @@ def _check_radial_order(n_r, ell):
         raise ValueError(f"ell must lie in [0, {MAX_ELL}], got {ell}")
     if not 0 <= n_r <= MAX_RADIAL_ORDER:
         raise ValueError(f"n_r must lie in [0, {MAX_RADIAL_ORDER}], got {n_r}")
+    _check_degree(ell, "ell")
+    _check_degree(n_r, "n_r")
 
 
 def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
@@ -305,6 +306,9 @@ def angular_product_grid(n_theta: int, n_phi: int):
 
     Returns flat arrays (theta, phi, weight) with sum(weight) = 4 pi.
     """
+    _check_degree(n_phi, "n_phi")
+    if n_phi == 0:
+        raise ValueError("n_phi must be a positive integer, got 0")
     gl = gauss_legendre(n_theta, -1.0, 1.0)
     theta = np.arccos(gl.nodes)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -172,9 +172,9 @@ def hermite_function(n: int, xi):
 
 
 def hermite_function_table(n_max: int, xi) -> np.ndarray:
-    """All rows h_0..h_{n_max} at the given points, shape (n_max+1, npts)."""
+    """All rows h_0..h_{n_max} at points of any shape, raveled: shape (n_max+1, size)."""
     _check_degree(n_max)
-    arr = _check_not_nan(np.atleast_1d(np.asarray(xi, dtype=float)))
+    arr = _check_not_nan(np.ravel(np.asarray(xi, dtype=float)))
     table = np.empty((n_max + 1, arr.size))
     _hermite_engine(n_max, arr, table)
     return table
@@ -243,9 +243,9 @@ def laguerre_function(n: int, alpha: float, rho):
 
 
 def laguerre_function_table(n_max: int, alpha: float, rho) -> np.ndarray:
-    """All normalized Laguerre functions of order 0..n_max at the given
-    points, shape (n_max+1, npts)."""
-    rho, origin, at_origin = _laguerre_points(n_max, alpha, np.atleast_1d(rho))
+    """All normalized Laguerre functions of order 0..n_max at points of any
+    shape, raveled: shape (n_max+1, size)."""
+    rho, origin, at_origin = _laguerre_points(n_max, alpha, np.ravel(rho))
     table = np.empty((n_max + 1, rho.size))
     _laguerre_engine(n_max, alpha, rho, table)
     table[:, origin] = at_origin
@@ -321,6 +321,7 @@ def sph_harm(ell: int, m: int, point: AngularPoint) -> complex:
     phase, via the fully normalized associated-Legendre recurrence
     (no raw factorials appear)."""
     _check_degree(ell)
+    _check_degree(abs(m), "|m|")
     if abs(m) > ell:
         raise ValueError(f"|m| = {abs(m)} exceeds ell = {ell}")
     am = abs(m)
@@ -385,9 +386,10 @@ def _norm_assoc_legendre_column(ell_max, m, x, sx):
 # ---------------------------------------------------------------------------
 
 
-def _check_degree(n):
+def _check_degree(n, name="degree"):
+    """The library's one check of an order, quantum number or truncation."""
     if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
 
 
 def _check_alpha(alpha):

@@ -249,6 +249,18 @@ def test_orthonormality_radial_requires_ell(capsys):
     assert "--ell" in err
 
 
+@pytest.mark.parametrize("ell", ["65", "-1"])
+def test_ell_outside_its_range_is_usage_error(capsys, ell):
+    code, out, err = run_cli(capsys, "orthonormality", "--dimension", "radial", "--ell", ell)
+    assert (code, out, err) == (2, "", "kgo: error: --ell must lie in [0, 64]\n")
+
+
+def test_closure_at_infinite_lambda_is_numeric_error(capsys):
+    code, out, err = run_cli(capsys, "closure", "--mass", "1e300", "--frequency", "1e300")
+    assert (code, out) == (3, "")
+    assert err == "kgo: numeric contract violation: lambda = sqrt(mass * frequency) exceeds the double range\n"
+
+
 # ---------------------------------------------------------------------------
 # closure
 # ---------------------------------------------------------------------------
@@ -586,6 +598,8 @@ def test_bad_input_is_usage_error(capsys, argv):
     [
         (["closure", "--mass=1e-24", "--frequency=1e-300"], 2),
         (["orthonormality", "--dimension", "radial", "--ell", "200", "--n-max", "5"], 2),
+        (["orthonormality", "--dimension", "radial", "--ell", "65"], 2),
+        (["orthonormality", "--dimension", "radial", "--ell", "-1"], 2),
         (["greens", "--mass", "1e200", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"], 3),
         (["closure", "--mass", "1e-200", "--test-function", "poly-gaussian", "--truncations", "3,8,30,12"], 3),
         (

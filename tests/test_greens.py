@@ -23,8 +23,10 @@ from kgo import (
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        GreensQuery(1.0, -1, 0.1)
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError) as info:
+            GreensQuery(1.0, bad, 0.1)
+        assert str(info.value) == f"truncation must be a non-negative integer, got {bad!r}"
     with pytest.raises(ValueError):
         GreensQuery(1.0, 5, 0.0)
     with pytest.raises(ValueError):

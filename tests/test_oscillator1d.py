@@ -142,6 +142,22 @@ def test_branch_accepts_its_value_string(unit_params):
         Mode1D(n=3, branch="up", energy=1.0)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_orders_are_refused_by_name(unit_params, bad):
+    """A level or truncation that is not a non-negative integer raises
+    ValueError naming the argument."""
+    calls = [
+        ("n", lambda: Mode1D(n=bad, branch=Branch.POSITIVE, energy=1.0)),
+        ("n", lambda: energy_1d(unit_params, bad, Branch.POSITIVE)),
+        ("n", lambda: nonrel_energy(unit_params, bad)),
+        ("N", lambda: closure_kernel_1d(unit_params, bad, 0.1, 0.2)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{name} must be a non-negative integer, got {bad!r}"
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
@@ -355,6 +371,16 @@ def test_project_coefficients_vs_high_resolution_rule(unit_params, gh128):
     coarse = project_1d(unit_params, 40, f, gh128)
     dense = project_1d(unit_params, 40, f, gauss_hermite(320))
     assert np.max(np.abs(coarse.coefficients - dense.coefficients)) <= 1e-13
+
+
+def test_reconstruct_keeps_the_shape_of_x(unit_params, gh32):
+    """A 2-D point set reconstructs in its own shape, to the same bytes as its
+    ravel."""
+    proj = project_1d(unit_params, 10, lambda x: math.exp(-x * x), gh32)
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    rec = reconstruct_1d(proj, x)
+    assert rec.shape == (3, 4)
+    assert rec.tobytes() == reconstruct_1d(proj, x.ravel()).tobytes()
 
 
 def test_reconstruct_zero_projection(unit_params, gh32):

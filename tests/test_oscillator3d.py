@@ -25,6 +25,7 @@ from kgo import (
     energy_3d,
     full_eigenfunction,
     full_eigenfunction_origin,
+    gauss_hermite,
     gauss_laguerre,
     project_radial,
     radial_closure_kernel,
@@ -129,6 +130,58 @@ def test_branch_accepts_its_value_string(unit_params):
         radial_mode(1, 2, "up")
 
 
+def _refusal(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5])
+def test_quantum_numbers_are_refused_by_name(unit_params, bad):
+    """A shell or radial quantum number that is not a non-negative integer
+    raises ValueError naming the argument."""
+    calls = [
+        ("n_r", lambda: radial_mode(bad, 2)),
+        ("ell", lambda: radial_mode(1, bad)),
+        ("N", lambda: energy_3d(unit_params, bad, Branch.POSITIVE)),
+        ("N", lambda: degeneracy(bad)),
+        ("N", lambda: shell_modes(bad)),
+    ]
+    for name, call in calls:
+        assert _refusal(call) == f"{name} must be a non-negative integer, got {bad!r}"
+
+
+def test_fractional_orders_are_refused(unit_params):
+    """A fractional n_r, ell or m inside the supported range is refused rather
+    than run (a fractional ell would change the Laguerre alpha); values
+    outside the range keep the range message."""
+    non_integer = "{} must be a non-negative integer, got {}"
+    cases = [
+        (lambda: radial_closure_kernel(unit_params, 1.5, 3, 0.4, 0.5), non_integer.format("ell", 1.5)),
+        (lambda: radial_closure_kernel(unit_params, 1, 2.5, 0.4, 0.5), non_integer.format("n_r", 2.5)),
+        (lambda: radial_eigenfunction(unit_params, 1, 1.5, 0.4), non_integer.format("ell", 1.5)),
+        (lambda: full_eigenfunction_origin(unit_params, 1.5), non_integer.format("n_r", 1.5)),
+        (lambda: Mode3D(radial_mode(1, 2), 1.5), non_integer.format("|m|", 1.5)),
+        (lambda: Mode3D(radial_mode(1, 2), -1.5), non_integer.format("|m|", 1.5)),
+        (lambda: radial_eigenfunction(unit_params, 1, 65, 0.4), "ell must lie in [0, 64], got 65"),
+        (lambda: radial_eigenfunction(unit_params, -1, 1, 0.4), "n_r must lie in [0, 200], got -1"),
+    ]
+    for call, message in cases:
+        assert _refusal(call) == message
+
+
+@pytest.mark.parametrize(
+    "n_phi, message",
+    [
+        (2.5, "n_phi must be a non-negative integer, got 2.5"),
+        (-1, "n_phi must be a non-negative integer, got -1"),
+        (0, "n_phi must be a positive integer, got 0"),
+    ],
+)
+def test_angular_grid_refuses_a_bad_phi_count(n_phi, message):
+    assert _refusal(lambda: angular_product_grid(4, n_phi)) == message
+
+
 # ---------------------------------------------------------------------------
 # radial eigenfunctions
 # ---------------------------------------------------------------------------
@@ -221,6 +274,11 @@ def test_radial_gram_wrong_alpha(unit_params):
     rule = gauss_laguerre(32, 4.0)  # ell + 1 instead of ell + 1/2
     with pytest.raises(QuadratureError):
         radial_gram(unit_params, 3, 10, rule)
+
+
+def test_radial_gram_refuses_a_hermite_rule(unit_params):
+    with pytest.raises(QuadratureError, match="need a Gauss-Laguerre rule"):
+        radial_gram(unit_params, 1, 3, gauss_hermite(8))
 
 
 def test_radial_gram_insufficient_count(unit_params, laguerre_rule_cache):

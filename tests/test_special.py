@@ -180,6 +180,32 @@ def test_table_rows_do_not_depend_on_table_size():
             assert big_l[: n + 1].tobytes() == laguerre_function_table(n, alpha, rho).tobytes(), (n, alpha)
 
 
+def test_tables_accept_points_of_any_shape():
+    """A point set of any shape gives the table of its ravel, byte for byte."""
+    xi = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+    rho = np.concatenate([[0.0], np.linspace(0.5, 20.0, 11)]).reshape(2, 3, 2)
+    for points in (xi, np.ones((2, 2))):
+        table = hermite_function_table(3, points)
+        assert table.shape == (4, points.size)
+        assert table.tobytes() == hermite_function_table(3, points.ravel()).tobytes()
+    for points in (rho, np.ones((2, 2))):
+        table = laguerre_function_table(3, 0.5, points)
+        assert table.shape == (4, points.size)
+        assert table.tobytes() == laguerre_function_table(3, 0.5, points.ravel()).tobytes()
+
+
+def test_renormalize_lifts_a_pair_below_the_range():
+    """A pair below 2^-930 is multiplied by exactly 2^930 and its offset
+    lowered by _LOG_RESCALE; pairs in range, and a zero pair, stay as they are."""
+    vk = np.array([3.0 * 2.0**-1000, 0.75, 0.0])
+    vkm1 = np.array([-(2.0**-990), 2.0**-1000, 0.0])
+    s = np.array([5.0, 5.0, 5.0])
+    new_vk, new_vkm1, new_s = special._renormalize(vk, vkm1, s)
+    assert new_vk.tolist() == [3.0 * 2.0**-70, 0.75, 0.0]
+    assert new_vkm1.tolist() == [-(2.0**-60), 2.0**-1000, 0.0]
+    assert new_s.tolist() == [5.0 - special._LOG_RESCALE, 5.0, 5.0]
+
+
 def _record_blocks(monkeypatch):
     """Wrap special._materialize; the returned list gets the row count of
     each block it is called on."""
@@ -358,6 +384,11 @@ def test_hermite_poly_scaled_roundtrip():
     pv = hermite_poly_scaled(12, 1.3)
     assert isinstance(pv, PolyValue)
     assert pv.reconstruct() == pytest.approx(hermite_poly(12, 1.3), rel=1e-12)
+
+
+def test_zero_poly_value_reconstructs_to_zero():
+    """A zero mantissa is 0 whatever its offset; exp(1e4) alone would overflow."""
+    assert PolyValue(0.0, 1e4).reconstruct() == 0.0
 
 
 def test_hermite_poly_scaled_beyond_double_range():
@@ -585,6 +616,9 @@ def test_sph_harm_conjugation(rng):
 def test_sph_harm_domain():
     with pytest.raises(ValueError):
         sph_harm(2, 3, AngularPoint(1.0, 1.0))
+    for m in (1.5, -1.5):
+        with pytest.raises(ValueError, match=r"^\|m\| must be a non-negative integer, got 1\.5$"):
+            sph_harm(2, m, AngularPoint(1.0, 1.0))
 
 
 def test_sph_harm_all_consistent():
