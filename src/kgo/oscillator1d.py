@@ -126,6 +126,9 @@ class SpectralProjection:
     ell: int | None = None
 
     def __post_init__(self):
+        _check_degree(self.truncation, "truncation")
+        if self.ell is not None:
+            _check_degree(self.ell, "ell")
         if len(self.coefficients) != self.truncation + 1:
             raise ValueError("coefficient count must equal truncation + 1")
 

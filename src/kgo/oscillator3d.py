@@ -146,13 +146,15 @@ def shell_modes(N: int) -> list[tuple[int, int]]:
     return [((N - ell) // 2, ell) for ell in range(N, -1, -2)]
 
 
+def _check_in_range(value, name, top):
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} must lie in [0, {top}], got {value}")
+    _check_degree(value, name)
+
+
 def _check_radial_order(n_r, ell):
-    if not 0 <= ell <= MAX_ELL:
-        raise ValueError(f"ell must lie in [0, {MAX_ELL}], got {ell}")
-    if not 0 <= n_r <= MAX_RADIAL_ORDER:
-        raise ValueError(f"n_r must lie in [0, {MAX_RADIAL_ORDER}], got {n_r}")
-    _check_degree(ell, "ell")
-    _check_degree(n_r, "n_r")
+    _check_in_range(ell, "ell", MAX_ELL)
+    _check_in_range(n_r, "n_r", MAX_RADIAL_ORDER)
 
 
 def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
@@ -191,8 +193,11 @@ class _Radial:
     ell: int
     name = "r"
 
+    def __post_init__(self):
+        _check_in_range(self.ell, "ell", MAX_ELL)
+
     def require(self, rule: QuadratureRule, min_count: int):
-        _check_radial_order(min_count - 1, self.ell)
+        _check_in_range(min_count - 1, "n_r", MAX_RADIAL_ORDER)
         if rule.family != GAUSS_LAGUERRE:
             raise QuadratureError(f"need a Gauss-Laguerre rule, got {rule.family}")
         if rule.alpha != self.ell + 0.5:
@@ -263,7 +268,7 @@ def full_eigenfunction(params: OscillatorParams, mode: Mode3D, p: Point3) -> com
 def full_eigenfunction_origin(params: OscillatorParams, n_r: int) -> complex:
     """Value of Psi_{n_r, 0, 0} at the origin (the only finite-limit case):
     lim_{r->0} R_{n_r 0}(r)/r times Y_0^0."""
-    _check_radial_order(n_r, 0)
+    _check_in_range(n_r, "n_r", MAX_RADIAL_ORDER)
     lam = params.lam
     # R/r -> sqrt(2 lambda^3 n_r!/Gamma(n_r+3/2)) L_{n_r}^(1/2)(0) and
     # L_{n_r}^(1/2)(0) = Gamma(n_r+3/2)/(n_r! Gamma(3/2))

@@ -21,16 +21,20 @@ bound on how far any point's mantissa pair can move, and the pairs are
 rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
 only before a step that could take one of them out of the normal double
 range.  One loop serves both families: each engine supplies only its start
-offset, its far-point stand-in and the coefficient arrays that both the
-growth bound and the steps use.  A table receives each order's raw mantissa
-as the recurrence runs.  The rows between two rescales share one offset, so
-each such block is turned into values in place, once, at the rescale that
-ends it (or at the end), a bounded chunk of rows at a time.  The raw
-polynomials share one loop too, ``_raw_recurrence``: each family supplies
-only the coefficients of its plain recurrence, and the loop renormalizes
-the pair by a power of two at every step and counts the exponent apart;
-``*_poly`` returns the float (OverflowError outside the double range),
-``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
+offset, its far-point stand-in, the coefficient arrays that the growth
+bound spends, and a function that forms the steps' arrays a_k from those
+arrays, a block of steps at a time into one buffer that the loop reuses.
+The engines run in the dtype of their points, so long-double points get
+long-double coefficients and values; the public evaluators pass doubles.
+A table receives each order's raw mantissa as the recurrence runs.  The
+rows between two rescales share one offset, so each such block is turned
+into values in place, once, at the rescale that ends it (or at the end), a
+bounded chunk of rows at a time.  The raw polynomials share one loop too,
+``_raw_recurrence``: each family supplies only the coefficients of its
+plain recurrence, and the loop renormalizes the pair by a power of two at
+every step and counts the exponent apart; ``*_poly`` returns the float
+(OverflowError outside the double range), ``*_poly_scaled`` a
+``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -190,11 +194,14 @@ def _hermite_engine(n_max, xi, table=None):
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
     s = np.where(far, -np.inf, -0.5 * xi * xi - 0.25 * math.log(math.pi))
-    steps = np.arange(n_max)
+    steps = np.arange(n_max, dtype=np.result_type(xi, float))
     q = np.sqrt(2.0 / (steps + 1))
     a_max = np.max(np.abs(xi), initial=0.0) * q
-    a_steps = (xi * qk for qk in q.tolist())
-    return _recurrence(s, a_steps, np.sqrt(steps / (steps + 1.0)), a_max, table)
+
+    def fill(k0, k1, out):
+        np.multiply.outer(q[k0:k1], xi, out=out)
+
+    return _recurrence(s, fill, np.sqrt(steps / (steps + 1.0)), a_max, table)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +287,18 @@ def _laguerre_engine(n_max, alpha, rho, table=None):
     rho = np.where(far, 1.0, rho)
     s = np.where(far, -np.inf, -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0))
     # |A_k| is largest at an end of the rho range, since A_k is linear in rho
-    steps = np.arange(n_max)
+    steps = np.arange(n_max, dtype=np.result_type(rho, float))
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
     c = 2 * steps + 1 + alpha
     norm = (steps + 1) * (steps + 1 + alpha)
     d = np.sqrt(norm)
     a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / d
-    a_steps = ((ck - rho) / dk for ck, dk in zip(c.tolist(), d.tolist()))
-    return _recurrence(s, a_steps, np.sqrt(steps * (steps + alpha) / norm), a_max, table)
+
+    def fill(k0, k1, out):
+        np.subtract.outer(c[k0:k1], rho, out=out)
+        out /= d[k0:k1, None]
+
+    return _recurrence(s, fill, np.sqrt(steps * (steps + alpha) / norm), a_max, table)
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +475,35 @@ def _rescale_steps(a_max, b):
     return steps
 
 
-def _recurrence(s, a_steps, b, a_max, table=None):
+def _recurrence(s, fill, b, a_max, table=None):
     """The one loop of both engines: v_{k+1} = a_k v_k - b_k v_{k-1} from
     v_0 = 1, v_{-1} = 0 at the points of the log offset s, where
-    ``a_steps`` yields each step's array a_k and |a_k| <= a_max[k], the
-    bound the growth budget spends.  Returns and fills ``table`` as
-    :func:`_hermite_engine` documents."""
+    ``fill(k0, k1, out)`` writes the arrays a_k of steps k0 <= k < k1 into
+    the rows of ``out`` and |a_k| <= a_max[k], the bound the growth budget
+    spends.  The a_k are made a block of rows at a time in one buffer, in
+    the dtype of b, that every block reuses: at most _MATERIALIZE_CELLS
+    values, or one row where the points alone are more.  Returns and fills
+    ``table`` as :func:`_hermite_engine` documents."""
     vk, vkm1 = np.ones_like(s), np.zeros_like(s)
     if table is not None:
         table[0] = vk
     rescale = _rescale_steps(a_max, b)
-    start = 0  # first row of the block that shares the offset s
-    for k, (a, bk) in enumerate(zip(a_steps, b.tolist())):
-        if k in rescale:
+    rows = max(1, _MATERIALIZE_CELLS // max(1, s.size))
+    block = np.empty((min(rows, b.size), s.size), dtype=b.dtype)
+    start = 0  # first row of the table block that shares the offset s
+    for k0 in range(0, b.size, rows):
+        k1 = min(k0 + rows, b.size)
+        fill(k0, k1, block[: k1 - k0])
+        # tolist gives Python floats for doubles, np.longdouble for long doubles
+        for k, a, bk in zip(range(k0, k1), block, b[k0:k1].tolist()):
+            if k in rescale:
+                if table is not None:
+                    _materialize(table[start : k + 1], s)
+                    start = k + 1
+                vk, vkm1, s = _renormalize(vk, vkm1, s)
+            vk, vkm1 = a * vk - bk * vkm1, vk
             if table is not None:
-                _materialize(table[start : k + 1], s)
-                start = k + 1
-            vk, vkm1, s = _renormalize(vk, vkm1, s)
-        vk, vkm1 = a * vk - bk * vkm1, vk
-        if table is not None:
-            table[k + 1] = vk
+                table[k + 1] = vk
     if table is not None:
         _materialize(table[start:], s)
     return _renormalize(vk, vkm1, s)
@@ -499,12 +519,12 @@ def _renormalize(vk, vkm1, s):
     """
     mag = np.maximum(np.abs(vk), np.abs(vkm1))
     big = mag > _RESCALE
-    if np.any(big):
+    if big.any():
         vk = np.where(big, vk / _RESCALE, vk)
         vkm1 = np.where(big, vkm1 / _RESCALE, vkm1)
         s = np.where(big, s + _LOG_RESCALE, s)
     small = (mag < 1.0 / _RESCALE) & (mag > 0.0)
-    if np.any(small):
+    if small.any():
         vk = np.where(small, vk * _RESCALE, vk)
         vkm1 = np.where(small, vkm1 * _RESCALE, vkm1)
         s = np.where(small, s - _LOG_RESCALE, s)
@@ -521,7 +541,7 @@ def _materialize(rows, s):
     the one temporary, reused by every chunk, stays small next to a table.
     """
     step = max(1, _MATERIALIZE_CELLS // max(1, rows.shape[1]))
-    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]), dtype=rows.dtype)
     with np.errstate(divide="ignore"):
         for lo in range(0, rows.shape[0], step):
             v = rows[lo : lo + step]

@@ -411,6 +411,10 @@ def test_spectral_projection_validation(unit_params):
         SpectralProjection(
             coefficients=np.zeros(3), truncation=4, params=unit_params, quadrature_count=8
         )
+    for bad in (2.0, -1):
+        with pytest.raises(ValueError) as info:
+            SpectralProjection(coefficients=np.zeros(3), truncation=bad, params=unit_params, quadrature_count=8)
+        assert str(info.value) == f"truncation must be a non-negative integer, got {bad!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,25 @@ import scipy.special
 from kgo import (
     AngularPoint,
     Branch,
+    GreensQuery,
     Mode3D,
     OscillatorParams,
     Point3,
     QuadratureError,
     RadialMode,
+    SpectralProjection,
     SpectrumConvention,
     angular_kernel,
     angular_kernel_addition,
     angular_product_grid,
+    coefficient_deviation_radial,
     degeneracy,
     energy_3d,
     full_eigenfunction,
     full_eigenfunction_origin,
     gauss_hermite,
     gauss_laguerre,
+    greens_3d_partial_wave,
     project_radial,
     radial_closure_kernel,
     radial_eigenfunction,
@@ -168,6 +172,39 @@ def test_fractional_orders_are_refused(unit_params):
     ]
     for call, message in cases:
         assert _refusal(call) == message
+
+
+@pytest.mark.parametrize(
+    "ell, message",
+    [
+        (1.5, "ell must be a non-negative integer, got 1.5"),
+        (-1, "ell must lie in [0, 64], got -1"),
+        (65, "ell must lie in [0, 64], got 65"),
+    ],
+)
+def test_every_radial_entry_point_refuses_a_bad_ell(unit_params, ell, message):
+    """The radial sector checks its ell once, so the Green's sums and the
+    reconstruction refuse it as the eigenfunction does (a fractional ell
+    would run the recurrence at another Laguerre alpha)."""
+    rule, query = gauss_laguerre(8, 0.5), GreensQuery(7.3, 4, 1e-6)
+    calls = [
+        lambda: radial_eigenfunction(unit_params, 1, ell, 0.4),
+        lambda: radial_gram(unit_params, ell, 3, rule),
+        lambda: radial_closure_kernel(unit_params, ell, 3, 0.4, 0.5),
+        lambda: project_radial(unit_params, ell, 3, lambda r: math.exp(-r * r), rule),
+        lambda: greens_3d_partial_wave(unit_params, ell, query, 0.2, 0.3),
+        lambda: coefficient_deviation_radial(unit_params, ell, query, 0.3, rule, 3),
+    ]
+    for call in calls:
+        assert _refusal(call) == message
+    # a projection refuses an ell that is not a non-negative integer itself;
+    # one above the range is refused when it is reconstructed
+    if ell == 65:
+        projection = SpectralProjection(np.ones(3), 2, unit_params, 10, ell=ell)
+        assert _refusal(lambda: reconstruct_radial(projection, 0.4)) == message
+    else:
+        expected = f"ell must be a non-negative integer, got {ell!r}"
+        assert _refusal(lambda: SpectralProjection(np.ones(3), 2, unit_params, 10, ell=ell)) == expected
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from kgo import (
     laguerre_poly_scaled,
     legendre_p,
     log_gamma,
+    quadrature,
     sph_harm,
     sph_harm_all,
     special,
@@ -304,8 +305,9 @@ BUDGET_RHO = np.array([0.0, 1e-3, 0.7, 5.0, 900.0, 1e6, 1e12, 2e28, 1e300, np.in
 
 def _record_recurrences(monkeypatch):
     """Wrap special._recurrence and special._rescale_steps; the returned list
-    gets, per engine run, the a_k arrays the loop applied, its b, and the
-    (a_max, b) pair the growth budget was given."""
+    gets, per engine run, the a_k arrays the loop applied (copies of the
+    rows its block function wrote), its b, and the (a_max, b) pair the
+    growth budget was given."""
     runs = []
     recurrence, rescale_steps = special._recurrence, special._rescale_steps
 
@@ -313,10 +315,15 @@ def _record_recurrences(monkeypatch):
         runs[-1]["budget"] = a_max.copy(), b.copy()
         return rescale_steps(a_max, b)
 
-    def recorded_recurrence(s, a_steps, b, a_max, table=None):
-        a_list = [a.copy() for a in a_steps]
-        runs.append({"a": a_list, "b": b.copy()})
-        return recurrence(s, iter(a_list), b, a_max, table)
+    def recorded_recurrence(s, fill, b, a_max, table=None):
+        run = {"a": [], "b": b.copy()}
+        runs.append(run)
+
+        def recorded_fill(k0, k1, out):
+            fill(k0, k1, out)
+            run["a"].extend(row.copy() for row in out)
+
+        return recurrence(s, recorded_fill, b, a_max, table)
 
     monkeypatch.setattr(special, "_recurrence", recorded_recurrence)
     monkeypatch.setattr(special, "_rescale_steps", recorded_rescale_steps)
@@ -348,6 +355,104 @@ def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
         for k, a in enumerate(run["a"]):
             assert a.shape == points.shape
             assert np.all(np.abs(a[near]) <= a_max[k]), (k, a[near], a_max[k])
+
+
+def _rule_bytes(build):
+    quadrature._hermite_nodes.cache_clear()
+    quadrature._laguerre_nodes.cache_clear()
+    rule = build()
+    return [a.tobytes() for a in (rule.nodes, rule.weights, rule.log_weights, rule.modified_weights, rule._table)]
+
+
+def _evaluations(n, alpha):
+    return [
+        hermite_function_table(n, BUDGET_XI).tobytes(),
+        hermite_function(n, BUDGET_XI).tobytes(),
+        laguerre_function_table(n, alpha, BUDGET_RHO).tobytes(),
+        laguerre_function(n, alpha, BUDGET_RHO).tobytes(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "points, run",
+    [
+        *(
+            pytest.param(BUDGET_XI.size, lambda n=n, alpha=alpha: _evaluations(n, alpha), id=f"n{n}-alpha{alpha}")
+            for n in (0, 1, 33, 300, 500)
+            for alpha in (-0.5, 64.5)
+        ),
+        pytest.param(72, lambda: _rule_bytes(lambda: quadrature.gauss_hermite(145)), id="gh145"),
+        pytest.param(144, lambda: _rule_bytes(lambda: quadrature.gauss_laguerre(144, 64.5)), id="gl144-64.5"),
+    ],
+)
+def test_coefficient_block_size_changes_no_byte(monkeypatch, points, run):
+    """The steps' coefficients are formed a block of rows at a time; one row
+    per block, and blocks of three rows on `points` points (so a last
+    partial block and rescales at block edges), give the default's bytes."""
+    default = run()
+    for cells in (1, 3 * points + 1):
+        monkeypatch.setattr(special, "_MATERIALIZE_CELLS", cells)
+        assert run() == default, cells
+
+
+# Largest distance, in double ulp of the root, of a node after one
+# long-double Newton step from the double node.
+LONG_DOUBLE_STEP_ULP = 1.0
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
+)
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_long_double_newton_step_through_the_engines(family):
+    """One Newton step on long-double copies of the double GH64 and GL64
+    (alpha -0.5) nodes, through the private engines, lands each sampled node
+    within LONG_DOUBLE_STEP_ULP of the 60-digit root once rounded to double:
+    the engines form every coefficient in the dtype of their points."""
+    count = 64
+    if family == "hermite":
+        nodes = quadrature.gauss_hermite(count).nodes
+        x = np.asarray(nodes, dtype=np.longdouble)
+        v, vm1, _ = special._hermite_engine(count, x)
+        df = np.sqrt(np.longdouble(2 * count)) * vm1 - x * v
+        poly = lambda t: mpmath.hermite(count, t)  # noqa: E731
+    else:
+        alpha = -0.5
+        nodes = quadrature.gauss_laguerre(count, alpha).nodes
+        x = np.asarray(nodes, dtype=np.longdouble)
+        v, vm1, _ = special._laguerre_engine(count, alpha, x)
+        df = v * (count / x + alpha / (2 * x) - 0.5) - np.sqrt(np.longdouble(count * (count + alpha))) * vm1 / x
+        poly = lambda t: mpmath.laguerre(count, alpha, t)  # noqa: E731
+    assert v.dtype == vm1.dtype == np.longdouble
+    stepped = x - v / df
+    positive = np.flatnonzero(nodes > 0)
+    for i in {*positive[:6], count // 2, count - 1}:
+        guess = mpmath.mpf(float(nodes[i]))
+        bracket = (guess * (1 - mpmath.mpf(2) ** -30), guess * (1 + mpmath.mpf(2) ** -30))
+        root = mpmath.findroot(poly, bracket, solver="anderson", verify=False)
+        ulp = abs(mpmath.mpf(float(stepped[i])) - root) / np.spacing(float(root))
+        assert ulp <= LONG_DOUBLE_STEP_ULP, (i, float(nodes[i]), float(ulp))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
+)
+def test_long_double_points_fill_a_long_double_table():
+    """A private-engine table on long-double points is within 1e-15 relative
+    of 60-digit values at sampled orders to 64, where the double table is off
+    by up to 3e-13; what remains is the double-rounded start offset."""
+    n = 64
+    for engine, points, oracle in (
+        (special._hermite_engine, [0.3, 1.7, 5.0, 9.5], hermite_function_oracle),
+        (lambda n, x, t: special._laguerre_engine(n, -0.5, x, t), [0.3, 1.7, 5.0, 40.0], lambda k, x: laguerre_function_oracle(k, -0.5, x)),
+    ):
+        table = np.empty((n + 1, len(points)), dtype=np.longdouble)
+        engine(n, np.array(points, dtype=np.longdouble), table)
+        for k in (1, 2, 9, 33, 63, 64):
+            for j, x in enumerate(points):
+                exact = oracle(k, x)
+                if abs(exact) > 1e-3:
+                    assert abs(mpmath.mpf(str(table[k, j])) - exact) <= 1e-15 * abs(exact), (k, x)
 
 
 def test_hermite_recurrence_vs_series(rng):
