@@ -24,7 +24,9 @@ Output is deterministic: identical invocations produce identical bytes
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -118,12 +120,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_escape(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _emit(args, header: list[str], rows: list[tuple], fields: dict) -> int:
     """Write one report and return its exit code.
 
@@ -137,8 +133,9 @@ def _emit(args, header: list[str], rows: list[tuple], fields: dict) -> int:
             if isinstance(cell, float) and not math.isfinite(cell):
                 raise OverflowError(f"{name} is not finite")
     if args.format == "csv":
-        lines = [header] + [[_csv_escape(_fmt(cell)) for cell in row] for row in rows]
-        text = "".join(",".join(line) + "\n" for line in lines)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header] + [[_fmt(cell) for cell in row] for row in rows])
+        text = buffer.getvalue()
     else:
         payload = {
             "schema_version": "1",
@@ -357,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every in-process main call shares, built on the first."""
-    return build_parser()
+# the parser every in-process main call shares, built on the first
+_parser = functools.cache(build_parser)
 
 
 def _run(args) -> int:

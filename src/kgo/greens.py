@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PoleProximityError
 from .quadrature import QuadratureRule
 from .oscillator1d import (
     OscillatorParams,
     _coefficients,
-    _denominators,
+    _energy_sq,
     _Line,
     _pair_sum,
     _spectral_sum,
@@ -54,6 +55,23 @@ class GreensQuery:
         _check_degree(self.truncation, "truncation")
         if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
+
+
+def _denominators(params: OscillatorParams, query: GreensQuery, ell: int | None = None) -> np.ndarray:
+    """E^2 - E_n^2 over a Green's truncation window (levels n in 1D, shells
+    2 n_r + ell for a radial ell); OverflowError if an E_n^2 is not finite,
+    PoleProximityError inside the pole guard."""
+    n = np.arange(query.truncation + 1)
+    # a huge m w overflows E_n^2 to inf (inf * 0 = nan at shell 0); refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
+    if not np.all(np.isfinite(esq)):
+        raise OverflowError("E_n^2 exceeds the double range")
+    denom = query.probe_energy_sq - esq
+    worst = int(np.argmin(np.abs(denom)))
+    if abs(denom[worst]) < query.pole_guard:
+        raise PoleProximityError(worst, ell, distance=float(abs(denom[worst])), guard=query.pole_guard)
+    return denom
 
 
 def greens_1d(params: OscillatorParams, query: GreensQuery, x: float, x2: float) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrandError, PoleProximityError, QuadratureError
+from .errors import IntegrandError, QuadratureError
 from .quadrature import GAUSS_HERMITE, QuadratureRule, _node_table
 from .special import _check_degree, hermite_function, hermite_function_table
 
@@ -269,23 +269,6 @@ def _evaluate(coefficients: np.ndarray, table: np.ndarray, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _denominators(params: OscillatorParams, query, ell: int | None = None) -> np.ndarray:
-    """E^2 - E_n^2 over a Green's truncation window (levels n in 1D, shells
-    2 n_r + ell for a radial ell); OverflowError if an E_n^2 is not finite,
-    PoleProximityError inside the pole guard."""
-    n = np.arange(query.truncation + 1)
-    # a huge m w overflows E_n^2 to inf (inf * 0 = nan at shell 0); refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        esq = _energy_sq(params, n, 1) if ell is None else _energy_sq(params, 2 * n + ell, 3)
-    if not np.all(np.isfinite(esq)):
-        raise OverflowError("E_n^2 exceeds the double range")
-    denom = query.probe_energy_sq - esq
-    worst = int(np.argmin(np.abs(denom)))
-    if abs(denom[worst]) < query.pole_guard:
-        raise PoleProximityError(worst, ell, distance=float(abs(denom[worst])), guard=query.pole_guard)
-    return denom
-
-
 def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -> np.ndarray:
     """Matrix of inner products <psi_i, psi_j> for i, j <= n_max.
 
@@ -336,10 +319,19 @@ def ode_residual_1d(params: OscillatorParams, n: int, grid, h: float) -> float:
     with D2_h the central second difference and E_n taken from the
     params' convention.  O(h^2) for the ode-derived convention; bounded
     away from zero (at the m*w*|psi_n| scale) for the other one.
+
+    The grid must be 1-D with at least 3 points, h positive and finite, and
+    every grid step within 1e-9 relative of h; otherwise ValueError.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise ValueError("grid needs at least 3 points")
+    if grid.ndim != 1 or grid.size < 3:
+        raise ValueError(f"grid must be 1-D with at least 3 points, got shape {grid.shape}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite step is refused below
+        step_error = float(np.max(np.abs(np.diff(grid) - h)))
+    if not step_error <= 1e-9 * h:
+        raise ValueError(f"grid steps differ from h = {h} by up to {step_error}")
     m, w = params.mass, params.frequency
     psi = eigenfunction_1d(params, n, grid)
     d2 = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)

@@ -152,11 +152,6 @@ def _check_in_range(value, name, top):
     _check_degree(value, name)
 
 
-def _check_radial_order(n_r, ell):
-    _check_in_range(ell, "ell", MAX_ELL)
-    _check_in_range(n_r, "n_r", MAX_RADIAL_ORDER)
-
-
 def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
     """Normalized reduced radial eigenfunction R_{n_r ell}(r); R(0) = 0.
 
@@ -165,7 +160,8 @@ def radial_eigenfunction(params: OscillatorParams, n_r: int, ell: int, r):
     keeps every factor bounded.  Accepts a scalar or an ndarray of radii
     r >= 0; a negative radius raises ValueError.
     """
-    _check_radial_order(n_r, ell)
+    _check_in_range(ell, "ell", MAX_ELL)
+    _check_in_range(n_r, "n_r", MAX_RADIAL_ORDER)
     rho, factor = _radial_argument(params, r)
     return factor * laguerre_function(n_r, ell + 0.5, rho)
 
@@ -232,8 +228,9 @@ def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: Quadrature
 
 def radial_closure_kernel(params: OscillatorParams, ell: int, N_max: int, r: float, r2: float) -> float:
     """Truncated radial closure kernel sum_{n_r<=N_max} R(r) R(r')."""
-    _check_radial_order(N_max, ell)
-    return _pair_sum(_Radial(params, ell), N_max, r, r2)
+    sector = _Radial(params, ell)
+    _check_in_range(N_max, "n_r", MAX_RADIAL_ORDER)
+    return _pair_sum(sector, N_max, r, r2)
 
 
 def project_radial(params: OscillatorParams, ell: int, N_max: int, f, rule: QuadratureRule) -> SpectralProjection:

@@ -190,28 +190,27 @@ def _polish(fn_df, lo, hi, f_lo_sign):
     return np.sort(x)
 
 
+def _rule(family, nodes, weights, log_weights, modified_weights, table=None, **fields):
+    """The one place a QuadratureRule is assembled: every array read-only,
+    and the Christoffel table, when there is one, kept for :func:`_node_table`."""
+    arrays = map(_freeze, (nodes, weights, log_weights, modified_weights))
+    rule = QuadratureRule(family, nodes.size, *arrays, **fields)
+    if table is not None:
+        object.__setattr__(rule, "_table", _freeze(table))
+    return rule
+
+
 def _christoffel_rule(family, nodes, table, log_weight, alpha=None):
     """Rule from the Christoffel identity, given the table of normalized
     weighted functions of orders 0..count-1 at the nodes and the log of the
     family weight function there.  The modified weights are 1 / (column sum
-    of squares); the weights are those times the weight function.  The rule
-    keeps the table for :func:`_node_table`."""
+    of squares); the weights are those times the weight function."""
     christoffel = np.sum(table * table, axis=0)
     log_w = log_weight - np.log(christoffel)
     # beyond the double range a weight rounds to 0 or inf; log_w stays exact
     with np.errstate(under="ignore", over="ignore"):
         weights = np.exp(log_w)
-    rule = QuadratureRule(
-        family=family,
-        count=nodes.size,
-        nodes=_freeze(nodes),
-        weights=_freeze(weights),
-        log_weights=_freeze(log_w),
-        modified_weights=_freeze(1.0 / christoffel),
-        alpha=alpha,
-    )
-    object.__setattr__(rule, "_table", _freeze(table))
-    return rule
+    return _rule(family, nodes, weights, log_w, 1.0 / christoffel, table, alpha=alpha)
 
 
 def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
@@ -335,16 +334,7 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
     half = 0.5 * b - 0.5 * a
     nodes = (0.5 * a + 0.5 * b) + half * ref
     weights = ref_w * half
-    log_w = np.log(weights)
-    return QuadratureRule(
-        family=GAUSS_LEGENDRE,
-        count=count,
-        nodes=_freeze(nodes),
-        weights=_freeze(weights),
-        log_weights=_freeze(log_w),
-        modified_weights=_freeze(weights),
-        interval=(a, b),
-    )
+    return _rule(GAUSS_LEGENDRE, nodes, weights, np.log(weights), weights, interval=(a, b))
 
 
 # ---------------------------------------------------------------------------

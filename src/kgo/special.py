@@ -381,12 +381,12 @@ def _norm_assoc_legendre_column(ell_max, m, x, sx):
     out = [pmm]
     if ell_max == m:
         return out
-    pk = x * math.sqrt(2.0 * m + 3.0) * pmm
+    a = math.sqrt(2.0 * m + 3.0)  # a_{m+1}; each step below carries a on as a_{ell-1}
+    pk = x * a * pmm
     out.append(pk)
     pkm1 = pmm
     for ell in range(m + 2, ell_max + 1):
-        a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-        am1 = math.sqrt((4.0 * (ell - 1) ** 2 - 1.0) / ((ell - 1) ** 2 - m * m))
+        am1, a = a, math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
         pkm1, pk = pk, a * (x * pk - pkm1 / am1)
         out.append(pk)
     return out

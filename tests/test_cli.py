@@ -224,6 +224,7 @@ def test_orthonormality_1d_passes(capsys):
     assert float(row["max_diag_deviation"]) <= 1e-10
     assert float(row["max_offdiag_deviation"]) <= 1e-10
     assert row["passed"] == "true"
+    assert out.splitlines()[1].startswith("1d,,50,51,")  # no ell: an empty cell
 
 
 def test_orthonormality_radial_passes(capsys):
@@ -347,6 +348,12 @@ def test_degeneracy_table(capsys):
     assert int(table[5][2]) == 21 == int(table[5][3])
     assert table[6][1] == "(0,6) (1,4) (2,2) (3,0)"
     assert all(r[4] == "true" for r in rows)
+    # a cell holding the delimiter is quoted
+    assert run_cli(capsys, "degeneracy", "--n-max", "2") == (
+        0,
+        'N,shell_modes,sum_2ellp1,formula,match\n0,"(0,0)",1,1,true\n1,"(0,1)",3,3,true\n2,"(0,2) (1,0)",6,6,true\n',
+        "",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ quadrature-exact orthonormality, weak closure, and the finite-difference
 residual that adjudicates the spectrum conventions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -446,3 +447,24 @@ def test_ode_residual_flags_printed_convention(printed_params):
 def test_ode_residual_needs_grid(unit_params):
     with pytest.raises(ValueError):
         ode_residual_1d(unit_params, 0, np.array([0.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, h, message",
+    [
+        (np.linspace(-3, 3, 61), 0.0, "h must be positive and finite, got 0.0"),
+        (np.linspace(-3, 3, 61), math.nan, "h must be positive and finite, got nan"),
+        (np.linspace(-3, 3, 61), math.inf, "h must be positive and finite, got inf"),
+        (np.linspace(-3, 3, 61), -0.1, "h must be positive and finite, got -0.1"),
+        (np.linspace(-3, 3, 61), 1.0, "grid steps differ from h = 1.0"),
+        (np.linspace(-3, 3, 61), 0.1 * (1 + 2e-9), "grid steps differ from h"),
+        (np.linspace(-3, 3, 61)[::-1], 0.1, "grid steps differ from h"),
+        (np.geomspace(1, 7, 61), 0.1, "grid steps differ from h"),
+        (np.array([0.0, 0.1, math.inf, math.inf]), 0.1, "grid steps differ from h = 0.1 by up to nan"),
+        (np.linspace(-3, 3, 60).reshape(3, 20), 0.1, "grid must be 1-D with at least 3 points, got shape (3, 20)"),
+        (np.linspace(-3, 3, 61)[None, :], 0.1, "grid must be 1-D with at least 3 points, got shape (1, 61)"),
+    ],
+)
+def test_ode_residual_refuses_a_step_its_grid_does_not_have(unit_params, grid, h, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ode_residual_1d(unit_params, 0, grid, h)

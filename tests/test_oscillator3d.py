@@ -23,6 +23,7 @@ from kgo import (
     angular_kernel,
     angular_kernel_addition,
     angular_product_grid,
+    closure_kernel_1d,
     coefficient_deviation_radial,
     degeneracy,
     energy_3d,
@@ -31,6 +32,8 @@ from kgo import (
     gauss_hermite,
     gauss_laguerre,
     greens_3d_partial_wave,
+    hermite_function_table,
+    laguerre_function_table,
     project_radial,
     radial_closure_kernel,
     radial_eigenfunction,
@@ -351,6 +354,46 @@ def test_radial_kernel_term_by_term(unit_params):
     )
     mine = radial_closure_kernel(unit_params, 1, 30, 1.0, 1.0)
     assert mine == pytest.approx(oracle, rel=1e-12)
+
+
+# Christoffel-Darboux (Szego, Orthogonal Polynomials, Thm 3.2.2) gives each
+# truncated kernel from its two top orders alone, independent of the term
+# by term sum.  Off the diagonal only: near x = x' the formula cancels.
+# Measured: at most 1.7e-15 in 1D and 8.3e-16 radial, relative to sqrt(N)
+# times the largest squared eigenfunction value in the table.
+CHRISTOFFEL_DARBOUX_TOL = 1e-14
+RADIAL_PAIRS = [(0.1, 5.47), (1.0, 2.5), (3.0, 5.47), (10.0, 20.0), (25.0, 29.5), (2.0, 28.0)]
+
+
+@pytest.mark.parametrize(
+    "ell, N, pairs",
+    [
+        (None, 500, [(1.0, 2.0), (20.0, 21.5), (29.0, -29.5), (-30.0, 12.25), (0.0, 30.0)]),
+        (0, 200, RADIAL_PAIRS),
+        (64, 200, RADIAL_PAIRS),
+    ],
+    ids=["1d", "radial-ell0", "radial-ell64"],
+)
+def test_closure_kernel_matches_christoffel_darboux(unit_params, ell, N, pairs):
+    """1D: sum h_n(x) h_n(x') = sqrt((N+1)/2) (h_{N+1}(x) h_N(x') - h_N(x) h_{N+1}(x')) / (x - x').
+    Radial, in rho = r^2: sum lf_n(rho) lf_n(rho') = -sqrt((N+1)(N+1+alpha))
+    (lf_{N+1}(rho) lf_N(rho') - lf_N(rho) lf_{N+1}(rho')) / (rho - rho'), and
+    R_n(r) = sqrt(2) rho^(1/4) lf_n(rho) at unit params."""
+    for x, x2 in pairs:
+        if ell is None:
+            kernel = closure_kernel_1d(unit_params, N, x, x2)
+            args = np.array([x, x2])
+            table, factor = hermite_function_table(N + 1, args), np.ones(2)
+            top = math.sqrt((N + 1) / 2)
+        else:
+            kernel = radial_closure_kernel(unit_params, ell, N, x, x2)
+            args = np.array([x, x2]) ** 2
+            table, factor = laguerre_function_table(N + 1, ell + 0.5, args), np.sqrt(2.0) * args**0.25
+            top = -math.sqrt((N + 1) * (N + 1.5 + ell))
+        cross = table[N + 1, 0] * table[N, 1] - table[N, 0] * table[N + 1, 1]
+        formula = factor[0] * factor[1] * top * cross / (args[0] - args[1])
+        scale = math.sqrt(N) * np.max((factor * table) ** 2)
+        assert abs(kernel - formula) <= CHRISTOFFEL_DARBOUX_TOL * scale, (x, x2)
 
 
 def test_project_radial_basis_element(unit_params, laguerre_rule_cache):

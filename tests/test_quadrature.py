@@ -89,6 +89,17 @@ def test_legendre_small_rules():
 # ---------------------------------------------------------------------------
 
 
+def assert_read_only(rule, kept_table):
+    """Every array of a rule is read-only, and so is the Christoffel table a
+    Hermite or Laguerre rule keeps."""
+    for arr in (rule.nodes, rule.weights, rule.log_weights, rule.modified_weights):
+        assert not arr.flags.writeable
+    assert (rule._table is not None) == kept_table
+    if kept_table:
+        assert not rule._table.flags.writeable
+        assert rule._table.shape == (rule.count, rule.count)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 32, 128, 201])
 def test_structure_hermite(count):
     rule = gauss_hermite(count)
@@ -98,7 +109,7 @@ def test_structure_hermite(count):
     assert np.all(np.isfinite(rule.log_weights))
     assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     assert rule.exactness_degree == 2 * count - 1
-    assert not rule.nodes.flags.writeable
+    assert_read_only(rule, kept_table=True)
 
 
 @pytest.mark.parametrize("count,alpha", [(1, 0.0), (3, 2.5), (17, 0.5), (64, 10.5), (160, 0.5)])
@@ -108,6 +119,7 @@ def test_structure_laguerre(count, alpha):
     assert np.all(np.diff(rule.nodes) > 0)
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(math.exp(math.lgamma(alpha + 1)), rel=1e-13)
+    assert_read_only(rule, kept_table=True)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +142,7 @@ def test_structure_legendre(count, a, b):
     assert rule.nodes[0] > a and rule.nodes[-1] < b
     assert np.all(rule.weights > 0)
     assert rule.weights.sum() == pytest.approx(b - a, rel=1e-14)
+    assert_read_only(rule, kept_table=False)
 
 
 def test_legendre_on_the_widest_interval():
