@@ -201,7 +201,7 @@ def test_count_limits():
 def test_scan_that_misses_a_root_is_a_quadrature_error():
     # cos has no sign change on (0.1, 1.0), and the scan does not refine
     with pytest.raises(QuadratureError, match="found 0 of 1 roots"):
-        quadrature._bracket_by_scan(np.cos, 0.1, 1.0, 1, 64)
+        quadrature._bracket_by_scan(lambda x: (np.cos(x), 0.0 * x), 0.1, 1.0, 1, 64)
 
 
 def test_determinism():
@@ -347,14 +347,15 @@ def _clear_node_memos():
 
 
 def _count_engine_sweeps(monkeypatch, *engines):
-    """Count calls to the named engines through quadrature's own names,
-    which only the root scan and polish use."""
+    """Record the dtype of the points of each call to the named engines
+    through quadrature's own names, which only the root scan and polish
+    (and the Legendre weights) use."""
     calls = []
     for engine in engines:
         original = getattr(quadrature, engine)
 
         def counted(*args, original=original):
-            calls.append(1)
+            calls.append(args[-1].dtype)
             return original(*args)
 
         monkeypatch.setattr(quadrature, engine, counted)
@@ -369,17 +370,22 @@ def _count_engine_sweeps(monkeypatch, *engines):
         # a Newton step onto the far bracket end used to cycle to the cap
         pytest.param("_laguerre_engine", lambda: gauss_laguerre(256, 0.5), id="laguerre-256-half"),
         ("_legendre_pair", lambda: gauss_legendre(512, -1.0, 1.0)),
+        # the double loop chased rounding noise here for 15 sweeps
+        pytest.param("_laguerre_engine", lambda: gauss_laguerre(478, 10.5), id="laguerre-478-10.5"),
     ],
 )
 def test_polish_converges_by_newton(monkeypatch, engine, build):
-    """Each recurrence sweep costs O(count^2); a Newton polish needs a few,
-    where a polish that falls back to bisection after convergence runs
-    about 40 until the brackets shrink to eps.  The node memos are cleared
-    first, so the build sweeps at all."""
+    """Each recurrence sweep costs O(count^2); the polish needs at most 5,
+    the one long-double step included, where a polish that falls back to
+    bisection after convergence runs about 40 until the brackets shrink to
+    eps.  Besides the polish, a Hermite or Laguerre build sweeps once for
+    its scan and a Legendre build once for its weights.  The node memos are
+    cleared first, so the build sweeps at all."""
     calls = _count_engine_sweeps(monkeypatch, engine)
     _clear_node_memos()
     build()
-    assert 1 <= len(calls) <= 15
+    assert 1 <= len(calls) - 1 <= 5
+    assert calls.count(np.longdouble) == 1
 
 
 RULE_ARRAYS = ("nodes", "weights", "log_weights", "modified_weights", "_table")
@@ -475,6 +481,43 @@ def test_legendre_512_against_mpmath():
             weight = 2 / ((1 - node * node) * slope * slope)
             assert abs(rule.nodes[i] - node) <= 1e-15
             assert abs(rule.weights[i] - weight) <= 1e-11 * weight
+
+
+# Largest distance, in double ulp of the root, of a Hermite or Laguerre node
+# from its 50-digit root where np.longdouble is wider than double.
+NODE_ULP = 4.0
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
+)
+@pytest.mark.parametrize(
+    "count, alpha",
+    [pytest.param(count, None, id=f"hermite-{count}") for count in (64, 189, 512)]
+    + [
+        pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
+        for count, alpha in ((64, -0.5), (144, 0.5), (144, 10.5), (144, 64.5), (512, -0.5), (512, 0.5))
+    ],
+)
+def test_nodes_within_a_few_ulp_of_the_roots(count, alpha):
+    """The node contract: the 6 smallest positive nodes, the middle node
+    and the largest node of each sampled rule lie within NODE_ULP of the
+    roots.  The smallest Laguerre nodes are where a double recurrence's
+    rounding noise puts them thousands of ulp off."""
+    if alpha is None:
+        nodes = gauss_hermite(count).nodes
+        poly = lambda t: mpmath.hermite(count, t)  # noqa: E731
+    else:
+        nodes = gauss_laguerre(count, alpha).nodes
+        poly = lambda t: mpmath.laguerre(count, alpha, t)  # noqa: E731
+    positive = np.flatnonzero(nodes > 0)
+    with mpmath.workdps(50):
+        for i in {*positive[:6], count // 2, count - 1}:
+            guess = mpmath.mpf(float(nodes[i]))
+            bracket = (guess * (1 - mpmath.mpf(2) ** -30), guess * (1 + mpmath.mpf(2) ** -30))
+            root = mpmath.findroot(poly, bracket, solver="anderson", verify=False)
+            ulp = abs(guess - root) / np.spacing(float(root))
+            assert ulp <= NODE_ULP, (i, float(nodes[i]), float(ulp))
 
 
 @pytest.mark.parametrize("count,alpha", [(3, 0.0), (8, 2.5), (16, 0.5), (40, 2.5), (64, 10.5)])
