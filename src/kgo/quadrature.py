@@ -12,29 +12,35 @@ and one vectorized polish serves all three families.  It starts a scanned
 root where the chord through the two scan values crosses zero (a Bruns
 bracket at its midpoint), runs a safeguarded bisection/Newton hybrid in
 double until every step is at most 1e-9 of its node, and ends with one
-Newton step on np.longdouble points through the same recurrences, rounded
-to double.  With 80-bit long double (x86-64 Linux) a sampled Hermite or
-Laguerre node of up to 512 points is within 4 ulp of its root, where the
-double recurrence alone left the smallest Laguerre nodes up to 8,218 ulp
-off; where np.longdouble is plain double the last step is one more double
-step.  A cold rule costs 3-5 recurrence
-sweeps besides its scan.  Symmetric rules polish only their positive
-roots and mirror them.
+Newton step on np.longdouble points through the same recurrences.  With
+80-bit long double (x86-64 Linux) a sampled Hermite or Laguerre node of
+up to 512 points is within 4 ulp of its root, where the double recurrence
+alone left the smallest Laguerre nodes up to 8,218 ulp off; where
+np.longdouble is plain double the last step is one more double step.  A
+cold rule costs 3-5 recurrence sweeps besides its scan, and no sweep for
+its weights.  Symmetric rules polish only their positive roots (and the
+root 0 of an odd rule) and mirror them.
 
 Weights come from the Christoffel identity
 
     w_k = 1 / sum_{j<K} p_j(x_k)^2
 
-evaluated through the bounded normalized functions, which gives both the
-ordinary weights (in log space, since extreme Hermite/Laguerre weights
-fall below the double range for very large rules) and the "modified"
-weights w_k / w(x_k) used to integrate functions that keep their
-exponential decay in the integrand.  Gauss-Legendre weights use the
-closed form of the same identity,
+in its Christoffel-Darboux closed form at a root, from the slope that the
+last long-double step evaluates: the sum is h_K'^2 / 2 for the normalized
+Hermite functions and rho lf_K'^2 for the normalized Laguerre functions,
+and for Legendre
 
-    w_k = 2 (1 - x_k^2) / (K (P_{K-1}(x_k) - x_k P_K(x_k)))^2,
+    w_k = 2 (1 - x_k^2) / ((1 - x_k^2) P_K'(x_k))^2,
 
-with P_K and P_{K-1} from one Legendre recurrence sweep.
+with the root in long double.  Each slope is taken so that its derivative
+vanishes at a root, so its value one Newton step away is its value at the
+root to second order.  This gives both the ordinary weights (in log space,
+since extreme Hermite/Laguerre weights fall below the double range for
+very large rules) and the "modified" weights w_k / w(x_k) used to
+integrate functions that keep their exponential decay in the integrand.
+The Hermite and Laguerre weights carry the double rounding of the log
+offset that a rule's table starts each node's column from, so that it
+cancels from the sums over the table (:func:`_christoffel_arrays`).
 
 A Hermite or Laguerre rule keeps its table of normalized functions at the
 nodes, count^2 doubles (2 MB at 512 nodes), and the operators that work
@@ -42,13 +48,14 @@ at the rule's nodes (Gram matrices, projections, the closure driver and
 the Green's coefficient check) slice its first rows through _node_table
 instead of building them again.
 
-Nodes depend only on (count, alpha), so each process memoizes them:
-_hermite_nodes and _laguerre_nodes are functools.lru_cache'd at the default
-maxsize of 128 entries, at most 512 KB of nodes each.  They hand out
-read-only views, which numpy refuses to make writeable again, so no rule can
-alter the nodes later rules share.  Every gauss_hermite and gauss_laguerre
-call still checks its arguments and assembles its own rule, weights and
-Christoffel table; the tables, count^2 doubles each, are not memoized.
+Nodes and weights depend only on (count, alpha), so each process memoizes
+them: _hermite_nodes and _laguerre_nodes are functools.lru_cache'd at the
+default maxsize of 128 entries, at most 1.5 MB of nodes, log weights and
+modified weights each.  They hand out read-only views, which numpy refuses
+to make writeable again, so no rule can alter the arrays later rules share.
+Every gauss_hermite and gauss_laguerre call still checks its arguments and
+assembles its own rule and table; the tables, count^2 doubles each, are not
+memoized.
 
 Bad arguments raise QuadratureError: a node count outside [1, MAX_NODES],
 a Laguerre alpha that is not finite or not above -1, and a Legendre
@@ -68,7 +75,9 @@ from .errors import IntegrandError, QuadratureError
 from .special import (
     _check_degree,
     _hermite_engine,
+    _hermite_offset,
     _laguerre_engine,
+    _laguerre_offset,
     _legendre_pair,
     hermite_function_table,
     laguerre_function_table,
@@ -104,9 +113,9 @@ class QuadratureRule:
     every supported rule size.
 
     A Hermite or Laguerre rule built here also keeps the read-only table of
-    its normalized functions of orders 0..count-1 at its nodes, which its
-    weights came from (count^2 doubles, 2 MB at 512 nodes); every operator
-    at the rule's nodes slices its rows.  It is not part of the signature,
+    its normalized functions of orders 0..count-1 at its nodes (count^2
+    doubles, 2 MB at 512 nodes); every operator at the rule's nodes slices
+    its rows.  It is not part of the signature,
     the repr or equality.
     """
 
@@ -180,18 +189,23 @@ def _bracket_by_scan(fn, lo, hi, n_roots, m):
 
 
 def _polish(fn_df, lo, hi, f_lo_sign, x):
-    """Roots in the brackets (lo, hi), ascending, from the start points x.
+    """Roots in the brackets (lo, hi), ascending, from the start points x,
+    as np.longdouble, and log |df| at each.
 
-    fn_df(x) returns (f, df) up to a common per-point positive scale, so
-    the Newton step f/df and the sign of f are exact even when the true
-    values over/underflow; it must accept np.longdouble points.  A
-    safeguarded Newton loop in double runs until every step is at most
+    fn_df(x) returns (f, df, s): a function f and a slope df, both times
+    exp(-s) per point, so the Newton step f/df and the sign of f are exact
+    even when the true values over/underflow; it must accept np.longdouble
+    points.  Each family picks df = f' times a positive factor such that
+    df' = 0 wherever f = 0, so one evaluation next to a root gives df at
+    the root to second order, and with it the weights in closed form.
+
+    A safeguarded Newton loop in double runs until every step is at most
     1e-9 |x|; what error is left is then far below that step and near the
     double recurrence's rounding noise.  One Newton step on long-double
-    points, rounded to double, takes the nodes within a few ulp of the
-    roots (where np.longdouble is plain double it is one more double step).
-    It is refused only where it leaves (lo, hi): the loop's own brackets
-    close around the noisy double root, not around the root.
+    points takes the roots within a few double ulp (where np.longdouble is
+    plain double it is one more double step).  It is refused only where it
+    leaves (lo, hi): the loop's own brackets close around the noisy double
+    root, not around the root.
 
     The long-double points are the double ones rounded to a multiple of the
     long-double spacing at the top bracket end.  Then every c_k - rho of the
@@ -203,7 +217,7 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     """
     a, b = lo, hi
     for _ in range(120):
-        f, df = fn_df(x)
+        f, df, _ = fn_df(x)
         same_as_lo = np.sign(f) == f_lo_sign
         a = np.where(same_as_lo, x, a)
         b = np.where(same_as_lo, b, x)
@@ -218,15 +232,31 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
             break
     quantum = np.spacing(np.longdouble(np.max(hi, initial=0.0)))
     wide = (np.round(x / quantum) * quantum).astype(np.longdouble)
-    f, df = fn_df(wide)
+    f, df, s = fn_df(wide)
     with np.errstate(divide="ignore", invalid="ignore"):
-        final = (wide - f / df).astype(float)
-    return np.sort(np.where((final > lo) & (final < hi), final, x))
+        final = wide - f / df
+        log_d = np.log(np.abs(df)) + s
+    roots = np.where((final > lo) & (final < hi), final, x)
+    order = np.argsort(roots)
+    return roots[order], log_d[order]
+
+
+def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
+    """:func:`_polish` for an even or odd f from brackets of its positive
+    roots, mirrored to every root.  The root 0 of an odd f, an exact 0 of
+    its recurrence, joins the polish at 0 for its slope."""
+    if odd:
+        t = lo[0] if lo.size else 1.0
+        lo, hi, f_lo_sign, x = np.r_[-t, lo], np.r_[t, hi], np.r_[1.0, f_lo_sign], np.r_[0.0, x]
+    roots, log_d = _polish(fn_df, lo, hi, f_lo_sign, x)
+    pos = slice(1 if odd else 0, None)
+    return np.concatenate([-roots[pos][::-1], roots]), np.concatenate([log_d[pos][::-1], log_d])
 
 
 def _rule(family, nodes, weights, log_weights, modified_weights, table=None, **fields):
     """The one place a QuadratureRule is assembled: every array read-only,
-    and the Christoffel table, when there is one, kept for :func:`_node_table`."""
+    and the table of normalized functions at the nodes, when there is one,
+    kept for :func:`_node_table`."""
     arrays = map(_freeze, (nodes, weights, log_weights, modified_weights))
     rule = QuadratureRule(family, nodes.size, *arrays, **fields)
     if table is not None:
@@ -234,23 +264,40 @@ def _rule(family, nodes, weights, log_weights, modified_weights, table=None, **f
     return rule
 
 
-def _christoffel_rule(family, nodes, table, log_weight, alpha=None):
-    """Rule from the Christoffel identity, given the table of normalized
-    weighted functions of orders 0..count-1 at the nodes and the log of the
-    family weight function there.  The modified weights are 1 / (column sum
-    of squares); the weights are those times the weight function."""
-    christoffel = np.sum(table * table, axis=0)
-    log_w = log_weight - np.log(christoffel)
+def _christoffel_arrays(roots, log_weight, log_christoffel, offset):
+    """Read-only nodes, log weights and modified weights, rounded to double,
+    from the long-double roots, the log of the family weight function there
+    and the log of the Christoffel sum sum_{j<K} p_j^2 of the normalized
+    functions there, whose reciprocal is the modified weight.
+
+    A rule's double table starts each column from offset(node), the log of
+    its order-0 function, rounded to double: every entry of the column
+    carries that rounding, up to 5e-14 relative at the outer nodes of a
+    512-point rule.  The Christoffel sum carries it too, so that it cancels
+    from every sum_k w_k t_m(x_k) t_n(x_k) over the table, as it did when
+    the weights were the table's own column sums of squares.
+    """
+    nodes = roots.astype(float)
+    rounding = offset(nodes) - offset(nodes.astype(np.longdouble))
+    log_christoffel = log_christoffel + 2.0 * rounding
+    arrays = (nodes, log_weight - log_christoffel, np.exp(-log_christoffel))
+    return tuple(_freeze(arr).view() for arr in arrays)
+
+
+def _christoffel_rule(family, arrays, table, alpha=None):
+    """Rule from the memoized :func:`_christoffel_arrays` and the table of
+    normalized functions of orders 0..count-1 at the nodes."""
+    nodes, log_w, modified = arrays
     # beyond the double range a weight rounds to 0 or inf; log_w stays exact
     with np.errstate(under="ignore", over="ignore"):
         weights = np.exp(log_w)
-    return _rule(family, nodes, weights, log_w, 1.0 / christoffel, table, alpha=alpha)
+    return _rule(family, nodes, weights, log_w, modified, table, alpha=alpha)
 
 
 def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
     """Normalized functions of orders 0..n_max at a Hermite or Laguerre
     rule's nodes, shape (n_max + 1, count): a read-only view of the rule's
-    Christoffel table when it has those rows, else a fresh table.  Both are
+    table when it has those rows, else a fresh table.  Both are
     the same bits, because a table's rows do not depend on its size."""
     _check_degree(n_max)
     if rule._table is not None and n_max < rule.count:
@@ -267,20 +314,21 @@ def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
 
 @functools.lru_cache
 def _hermite_nodes(count):
-    """Read-only roots of H_count, ascending (memoized per process)."""
+    """Read-only roots of H_count, ascending, with their log weights and
+    modified weights (memoized per process)."""
     upper = math.sqrt(2.0 * count + 1.0) + 0.5
 
     def h_pair(x):
-        v, vm1, _ = _hermite_engine(count, x)
-        # h_K' = sqrt(2K) h_{K-1} - x h_K, same hidden scale, in x's dtype
-        return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v
+        v, vm1, s = _hermite_engine(count, x)
+        # h_K' = sqrt(2K) h_{K-1} - x h_K, in x's dtype; h_K'' = (x^2 - 2K - 1) h_K is 0 at a root
+        return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v, s
 
     brackets = _bracket_by_scan(
         lambda x: _hermite_engine(count, x)[::2], upper * 1e-9, upper, count // 2, 4 * count + 64
     )
-    pos = _polish(h_pair, *brackets)
-    nodes = np.concatenate([-pos[::-1], [0.0], pos] if count % 2 else [-pos[::-1], pos])
-    return _freeze(nodes).view()
+    x, log_d = _symmetric_roots(h_pair, *brackets, count % 2)
+    # sum_{j<K} h_j^2 = h_K'^2 / 2 at a root of h_K
+    return _christoffel_arrays(x, -x * x, 2.0 * log_d - np.log(np.longdouble(2.0)), _hermite_offset)
 
 
 def gauss_hermite(count: int) -> QuadratureRule:
@@ -290,8 +338,8 @@ def gauss_hermite(count: int) -> QuadratureRule:
     identity through the normalized Hermite functions.
     """
     count = _check_count(count)
-    nodes = _hermite_nodes(count)
-    return _christoffel_rule(GAUSS_HERMITE, nodes, hermite_function_table(count - 1, nodes), -nodes * nodes)
+    arrays = _hermite_nodes(count)
+    return _christoffel_rule(GAUSS_HERMITE, arrays, hermite_function_table(count - 1, arrays[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +349,8 @@ def gauss_hermite(count: int) -> QuadratureRule:
 
 @functools.lru_cache
 def _laguerre_nodes(count, alpha):
-    """Read-only roots of L_count^(alpha), ascending (memoized per process).
+    """Read-only roots of L_count^(alpha), ascending, with their log weights
+    and modified weights (memoized per process).
 
     Root scanning runs in s = sqrt(rho), which spreads the near-origin
     clustering of Laguerre zeros into nearly uniform spacing; polishing
@@ -310,20 +359,23 @@ def _laguerre_nodes(count, alpha):
     upper = 2.0 * (2.0 * count + alpha + 1.0) + 2.0
 
     def lf_pair_rho(rho):
-        v, vm1, _ = _laguerre_engine(count, alpha, rho)
-        # d lf_K/drho = lf_K (K/rho + alpha/(2 rho) - 1/2)
-        #               - sqrt(K(K+alpha)) lf_{K-1} / rho, in rho's dtype
-        df = v * (count / rho + 0.5 * alpha / rho - 0.5) - (
-            np.sqrt(count * (count + rho.dtype.type(alpha))) * vm1 / rho
-        )
-        return v, df
+        v, vm1, s = _laguerre_engine(count, alpha, rho)
+        # lf_K and rho lf_K' = lf_K (K + alpha/2 - rho/2) - sqrt(K(K+alpha)) lf_{K-1},
+        # both times rho, in rho's dtype; by the Laguerre function equation
+        # (rho lf_K')' = (alpha^2/(4 rho) + rho/4 - K - (alpha+1)/2) lf_K
+        k = rho.dtype.type(count)
+        return rho * v, v * (k + 0.5 * alpha - 0.5 * rho) - np.sqrt(k * (k + alpha)) * vm1, s
 
     s_hi = math.sqrt(upper)
     m0 = max(128, 2 * int(math.ceil(upper)))
     s_lo, s_hi_b, f_lo_sign, s_start = _bracket_by_scan(
         lambda s: _laguerre_engine(count, alpha, s * s)[::2], s_hi * 1e-9, s_hi, count, m0
     )
-    return _freeze(_polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign, s_start * s_start)).view()
+    rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign, s_start * s_start)
+    # sum_{j<K} lf_j^2 = rho lf_K'^2 = (rho lf_K')^2 / rho at a root of lf_K
+    return _christoffel_arrays(
+        rho, alpha * np.log(rho) - rho, 2.0 * log_d - np.log(rho), functools.partial(_laguerre_offset, alpha)
+    )
 
 
 def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
@@ -336,9 +388,9 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
     alpha = float(alpha)
     if not -1.0 < alpha < math.inf:
         raise QuadratureError(f"Laguerre alpha must be finite and exceed -1, got {alpha}")
-    nodes = _laguerre_nodes(count, alpha)
-    table = laguerre_function_table(count - 1, alpha, nodes)
-    return _christoffel_rule(GAUSS_LAGUERRE, nodes, table, alpha * np.log(nodes) - nodes, alpha=alpha)
+    arrays = _laguerre_nodes(count, alpha)
+    table = laguerre_function_table(count - 1, alpha, arrays[0])
+    return _christoffel_rule(GAUSS_LAGUERRE, arrays, table, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +410,17 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         pk, pkm1 = _legendre_pair(count, x)
         # P_K and P_K' = K (P_{K-1} - x P_K) / (1 - x^2), both times
         # 1 - x^2 > 0; (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels
-        return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk)
+        return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk), np.zeros_like(x)
 
     # Bruns brackets (module docstring) of the positive roots: k roots lie
     # above the lower end of the k-th, so P_K has the sign (-1)^k there
     k = np.arange(count // 2, 0, -1)
     lo, hi = np.cos(k * math.pi / (count + 0.5)), np.cos((k - 0.5) * math.pi / (count + 0.5))
-    pos = _polish(p_pair, lo, hi, (-1.0) ** k, 0.5 * (lo + hi))
-    ref = np.concatenate([-pos[::-1], [0.0], pos] if count % 2 else [-pos[::-1], pos])
-    ref_w = 2.0 * (1.0 - ref) * (1.0 + ref) / p_pair(ref)[1] ** 2
+    ref, log_d = _symmetric_roots(p_pair, lo, hi, (-1.0) ** k, 0.5 * (lo + hi), count % 2)
+    # w = 2 (1 - x^2) / ((1 - x^2) P_K')^2 at the long-double root, where
+    # ((1 - x^2) P_K')' = -K (K + 1) P_K
+    ref_w = (2.0 * (1.0 - ref) * (1.0 + ref) / np.exp(2.0 * log_d)).astype(float)
+    ref = ref.astype(float)
 
     # midpoint and half-width in halves, so b - a cannot overflow
     half = 0.5 * b - 0.5 * a

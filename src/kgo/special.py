@@ -184,6 +184,12 @@ def hermite_function_table(n_max: int, xi) -> np.ndarray:
     return table
 
 
+def _hermite_offset(xi):
+    """log h_0(xi) = -xi^2/2 - log(pi)/4, the log offset the Hermite engine
+    starts from, in the dtype of xi."""
+    return -0.5 * xi * xi - 0.25 * math.log(math.pi)
+
+
 def _hermite_engine(n_max, xi, table=None):
     """Run the normalized Hermite recurrence with per-point log rescaling.
 
@@ -193,7 +199,7 @@ def _hermite_engine(n_max, xi, table=None):
     """
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
-    s = np.where(far, -np.inf, -0.5 * xi * xi - 0.25 * math.log(math.pi))
+    s = np.where(far, -np.inf, _hermite_offset(xi))
     steps = np.arange(n_max, dtype=np.result_type(xi, float))
     q = np.sqrt(2.0 / (steps + 1))
     a_max = np.max(np.abs(xi), initial=0.0) * q
@@ -274,6 +280,12 @@ def _laguerre_points(n, alpha, rho):
     return np.where(origin, 1.0, rho), origin, at_origin
 
 
+def _laguerre_offset(alpha, rho):
+    """log lf_0(rho) = -rho/2 + (alpha/2) log rho - log Gamma(alpha + 1)/2,
+    the log offset the Laguerre engine starts from, in the dtype of rho."""
+    return -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0)
+
+
 def _laguerre_engine(n_max, alpha, rho, table=None):
     """Normalized Laguerre recurrence with per-point log rescaling
     (requires rho > 0 elementwise), returning and filling ``table`` as
@@ -285,7 +297,7 @@ def _laguerre_engine(n_max, alpha, rho, table=None):
     """
     far = rho > _FAR_ARG
     rho = np.where(far, 1.0, rho)
-    s = np.where(far, -np.inf, -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0))
+    s = np.where(far, -np.inf, _laguerre_offset(alpha, rho))
     # |A_k| is largest at an end of the rho range, since A_k is linear in rho
     steps = np.arange(n_max, dtype=np.result_type(rho, float))
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)

@@ -32,6 +32,7 @@ from kgo import (
 )
 from kgo import oscillator1d, oscillator3d, quadrature
 from kgo.quadrature import MAX_NODES, _node_table
+from kgo.special import _hermite_offset, _laguerre_offset
 
 
 def hermite_moment(j):
@@ -349,7 +350,7 @@ def _clear_node_memos():
 def _count_engine_sweeps(monkeypatch, *engines):
     """Record the dtype of the points of each call to the named engines
     through quadrature's own names, which only the root scan and polish
-    (and the Legendre weights) use."""
+    use."""
     calls = []
     for engine in engines:
         original = getattr(quadrature, engine)
@@ -379,12 +380,13 @@ def test_polish_converges_by_newton(monkeypatch, engine, build):
     the one long-double step included, where a polish that falls back to
     bisection after convergence runs about 40 until the brackets shrink to
     eps.  Besides the polish, a Hermite or Laguerre build sweeps once for
-    its scan and a Legendre build once for its weights.  The node memos are
-    cleared first, so the build sweeps at all."""
+    its scan; a Legendre build takes its weights from the polish too.  The
+    node memos are cleared first, so the build sweeps at all."""
     calls = _count_engine_sweeps(monkeypatch, engine)
     _clear_node_memos()
     build()
-    assert 1 <= len(calls) - 1 <= 5
+    scan = engine != "_legendre_pair"
+    assert 1 <= len(calls) - scan <= 5
     assert calls.count(np.longdouble) == 1
 
 
@@ -486,23 +488,34 @@ def test_legendre_512_against_mpmath():
 # Largest distance, in double ulp of the root, of a Hermite or Laguerre node
 # from its 50-digit root where np.longdouble is wider than double.
 NODE_ULP = 4.0
+# Largest relative error of a Hermite or Laguerre modified weight, and of a
+# Legendre weight, against 50-digit references where np.longdouble is wider
+# than double.
+WEIGHT_REL = 1e-15
+LEGENDRE_WEIGHT_REL = 1e-14
 
-
-@pytest.mark.skipif(
+needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
 )
-@pytest.mark.parametrize(
-    "count, alpha",
-    [pytest.param(count, None, id=f"hermite-{count}") for count in (64, 189, 512)]
-    + [
-        pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
-        for count, alpha in ((64, -0.5), (144, 0.5), (144, 10.5), (144, 64.5), (512, -0.5), (512, 0.5))
-    ],
-)
+CONTRACT_RULES = [pytest.param(count, None, id=f"hermite-{count}") for count in (64, 189, 512)] + [
+    pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
+    for count, alpha in ((64, -0.5), (144, 0.5), (144, 10.5), (144, 64.5), (512, -0.5), (512, 0.5))
+]
+
+
+def _root_near(poly, node):
+    """50-digit root of poly next to a double node (call under workdps(50))."""
+    guess = mpmath.mpf(float(node))
+    bracket = (guess * (1 - mpmath.mpf(2) ** -30), guess * (1 + mpmath.mpf(2) ** -30))
+    return mpmath.findroot(poly, bracket, solver="anderson", verify=False)
+
+
+@needs_long_double
+@pytest.mark.parametrize("count, alpha", CONTRACT_RULES)
 def test_nodes_within_a_few_ulp_of_the_roots(count, alpha):
-    """The node contract: the 6 smallest positive nodes, the middle node
-    and the largest node of each sampled rule lie within NODE_ULP of the
-    roots.  The smallest Laguerre nodes are where a double recurrence's
+    """The node contract: the 6 smallest positive nodes, the middle positive
+    node and the largest node of each sampled rule lie within NODE_ULP of
+    the roots.  The smallest Laguerre nodes are where a double recurrence's
     rounding noise puts them thousands of ulp off."""
     if alpha is None:
         nodes = gauss_hermite(count).nodes
@@ -512,12 +525,56 @@ def test_nodes_within_a_few_ulp_of_the_roots(count, alpha):
         poly = lambda t: mpmath.laguerre(count, alpha, t)  # noqa: E731
     positive = np.flatnonzero(nodes > 0)
     with mpmath.workdps(50):
-        for i in {*positive[:6], count // 2, count - 1}:
-            guess = mpmath.mpf(float(nodes[i]))
-            bracket = (guess * (1 - mpmath.mpf(2) ** -30), guess * (1 + mpmath.mpf(2) ** -30))
-            root = mpmath.findroot(poly, bracket, solver="anderson", verify=False)
-            ulp = abs(guess - root) / np.spacing(float(root))
+        for i in {*positive[:6], positive[len(positive) // 2], count - 1}:
+            root = _root_near(poly, nodes[i])
+            ulp = abs(mpmath.mpf(float(nodes[i])) - root) / np.spacing(float(root))
             assert ulp <= NODE_ULP, (i, float(nodes[i]), float(ulp))
+
+
+@needs_long_double
+@pytest.mark.parametrize("count, alpha", CONTRACT_RULES)
+def test_modified_weights_at_the_roots(count, alpha):
+    """At the 6 smallest positive nodes and the middle positive node, the
+    modified weight is the exact one at the root, within WEIGHT_REL, over
+    the rounding that the rule's double table carries in every entry of that
+    node's column: exp(2 (s_double - s)), where s is the log offset (the log
+    of the order-0 function) at the node and s_double its double value.  That factor cancels from every sum
+    over the table.  Hermite: 2^(K+1) K! sqrt(pi) e^(x^2) / H_K'(x)^2 with
+    H_K' = 2K H_{K-1}; Laguerre: Gamma(K+alpha+1) e^x x^-alpha / (K! x
+    L_K'(x)^2) with L_K^(alpha)' = -L_{K-1}^(alpha+1)."""
+    rule = gauss_hermite(count) if alpha is None else gauss_laguerre(count, alpha)
+    positive = np.flatnonzero(rule.nodes > 0)
+    with mpmath.workdps(50):
+        for i in {*positive[:6], positive[len(positive) // 2]}:
+            node, xd = rule.nodes[i], mpmath.mpf(float(rule.nodes[i]))
+            if alpha is None:
+                x = _root_near(lambda t: mpmath.hermite(count, t), node)
+                slope = 2 * count * mpmath.hermite(count - 1, x)
+                exact = 2 ** (count + 1) * mpmath.factorial(count) * mpmath.sqrt(mpmath.pi) * mpmath.exp(x * x) / slope**2
+                offset, s = _hermite_offset(node), -xd * xd / 2 - mpmath.log(mpmath.pi) / 4
+            else:
+                x = _root_near(lambda t: mpmath.laguerre(count, alpha, t), node)
+                slope = -mpmath.laguerre(count - 1, alpha + 1, x)
+                exact = mpmath.gamma(count + alpha + 1) * mpmath.exp(x) / (x**alpha * mpmath.factorial(count) * x * slope**2)
+                offset, s = _laguerre_offset(alpha, node), -xd / 2 + alpha * mpmath.log(xd) / 2 - mpmath.loggamma(alpha + 1) / 2
+            reference = exact * mpmath.exp(-2 * (mpmath.mpf(float(offset)) - s))
+            rel = abs(rule.modified_weights[i] - reference) / reference
+            assert rel <= WEIGHT_REL, (i, float(node), float(rel))
+
+
+@needs_long_double
+@pytest.mark.parametrize("count", [346, 415, 475, 505, 507])
+def test_legendre_edge_weights_against_mpmath(count):
+    """The two outermost weights of the rules where the closed form, taken
+    at the double nodes, amplified the nodes' rounding about 4e4 times (up
+    to 4.7e-12 relative): w = 2 (1 - x^2) / (K P_{K-1}(x))^2 at the root."""
+    rule = gauss_legendre(count, -1.0, 1.0)
+    with mpmath.workdps(50):
+        for i in (0, 1):
+            x = _root_near(lambda t: mpmath.legendre(count, t), rule.nodes[i])
+            weight = 2 * (1 - x * x) / (count * mpmath.legendre(count - 1, x)) ** 2
+            rel = abs(rule.weights[i] - weight) / weight
+            assert rel <= LEGENDRE_WEIGHT_REL, (i, float(rel))
 
 
 @pytest.mark.parametrize("count,alpha", [(3, 0.0), (8, 2.5), (16, 0.5), (40, 2.5), (64, 10.5)])
