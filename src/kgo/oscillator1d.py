@@ -282,7 +282,7 @@ def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -
     # xi >= 0 (weights doubled, xi = 0 counted once) and zero the odd entries
     half = rule.nodes >= 0.0
     weights = np.where(rule.nodes[half] > 0.0, 2.0, 1.0) * rule.modified_weights[half]
-    gram = _gram(_node_table(rule, n_max)[:, half], weights)
+    gram = _gram(hermite_function_table(n_max, rule.nodes[half]), weights)
     order = np.arange(n_max + 1)
     gram[(order[:, None] + order) % 2 == 1] = 0.0
     return gram

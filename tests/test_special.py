@@ -361,7 +361,8 @@ def _rule_bytes(build):
     quadrature._hermite_nodes.cache_clear()
     quadrature._laguerre_nodes.cache_clear()
     rule = build()
-    return [a.tobytes() for a in (rule.nodes, rule.weights, rule.log_weights, rule.modified_weights, rule._table)]
+    table = quadrature._node_table(rule, rule.count - 1)
+    return [a.tobytes() for a in (rule.nodes, rule.weights, rule.log_weights, rule.modified_weights, table)]
 
 
 def _evaluations(n, alpha):
