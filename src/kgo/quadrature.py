@@ -3,28 +3,30 @@ and a generic integration driver.
 
 Nodes are located without any eigensolver: a sign-change scan of the
 normalized weighted polynomial brackets every Hermite and Laguerre root,
-Bruns' inequality (Szego, Orthogonal Polynomials, Thm 6.21.2) brackets
-the k-th largest Legendre root in closed form,
+on a grid whose step is at most half the lower bound that Sturm's
+comparison theorem puts on the root spacing, and Bruns' inequality
+(Szego, Orthogonal Polynomials, Thm 6.21.2) brackets the k-th largest
+Legendre root in closed form,
 
     arccos x_k in ((k - 1/2) pi, k pi) / (K + 1/2),
 
 and one vectorized polish serves all three families.  The scan already
 returns each grid point's slope with its value (every engine returns
-v_{K-1} with v_K), so a scanned root starts where the cubic through both
-bracket ends' values and slopes crosses zero (a Bruns bracket at its
-midpoint).  A safeguarded bisection/Newton hybrid then runs in double
-until every step is at most 1e-4 of its bracket, and on np.longdouble
-points through the same recurrences until every step is at most 1e-8 of
-it: one long-double step for every rule of 1-512 nodes.  With 80-bit long
-double (x86-64 Linux) every Hermite, Laguerre (alpha -0.5 to 64.5) and
-Legendre node of up to 512 points is within 4 ulp of its root (the node
-audit, tools/node_audit.py, checks every one), where the
-double recurrence alone left the smallest Laguerre nodes up to 8,218 ulp
-off; where np.longdouble is plain double the last steps are double steps.
-A cold Hermite rule costs 3 recurrence sweeps, its scan included, a
-Laguerre rule at most 4 and a Legendre rule at most 4, and none for
-weights.  Symmetric rules polish only their positive roots (and the root 0
-of an odd rule) and mirror them.
+v_{K-1} with v_K), so a scanned root starts from the Taylor series of its
+function's differential equation about the nearer bracket end (after
+Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007, used here for the
+start only), within about 2e-12 of its bracket, and a safeguarded
+bisection/Newton hybrid on np.longdouble points, through the same
+recurrences, takes one step from there.  A Bruns bracket starts at its
+midpoint and takes double steps first.  With 80-bit long double (x86-64
+Linux) every Hermite, Laguerre (alpha -0.5 to 64.5) and Legendre node of up
+to 512 points is within 4 ulp of its root (the node audit,
+tools/node_audit.py, checks every one), where the double recurrence alone
+left the smallest Laguerre nodes up to 8,218 ulp off; where np.longdouble is
+plain double the last steps are double steps.  A cold Hermite or Laguerre
+rule costs 2 recurrence sweeps, the scan and the long-double step, and a
+Legendre rule at most 4, and none for weights.  Symmetric rules polish only
+their positive roots (and the root 0 of an odd rule) and mirror them.
 
 Weights come from the Christoffel identity
 
@@ -159,40 +161,81 @@ def _check_count(count):
 # ---------------------------------------------------------------------------
 
 
-# Newton steps on the cubic that starts each scanned root.  From the chord
-# point two reach the cubic's root at every rule measured (Hermite, and
-# Laguerre at alpha -0.5 to 64.5, of 2 to 512 nodes); the other two are
-# margin, at a cost of a few operations per root beside a sweep's K per root.
-_CUBIC_STEPS = 4
+# The Taylor start of each scanned root: _TAYLOR_TERMS terms of the series
+# of the function's differential equation about the bracket end nearer the
+# chord point, and Newton steps on it from the chord point, _TAYLOR_STEPS at
+# most.  A scan step spans at most half a root spacing (at the grid helpers),
+# a phase of at most pi/2, so a root about a quarter of a spacing from its
+# end leaves a truncation error of about (pi/4)^16 / 16!, 1e-15 of the
+# function's amplitude.  Every start measured was within 2.1e-12 of its
+# bracket (Hermite 7e-14; Laguerre at alpha -0.5 to 1000, of 2 to 512 nodes),
+# where the double scan values' rounding noise is the limit, inside the
+# long-double stop below.  The steps stop as the long-double ones do, at
+# _WIDE_STOP min(hi - lo, |x|), after 3 or 4 at most rules.  A Laguerre root
+# in the grid's first interval is started from the series about the origin
+# (:func:`_origin_series`); near alpha -1 it lies far below the chord point,
+# and Newton steps on a function even about the origin halve the distance
+# until they are close: up to 19 steps (1 + alpha = 1e-10).  Both cost a few
+# operations per root beside a sweep's K per root.
+_TAYLOR_TERMS = 16
+_TAYLOR_STEPS = 40
 
-# Stop tests of _polish, as fractions of each root's starting bracket hi - lo.
-# Newton's error obeys e' ~ (f'' / 2 f') e^2, and f'' / f' is of the order of
-# one over the root spacing, of which a scan or Bruns bracket is a fixed
-# fraction: e' ~ e^2 / (hi - lo).  A double step of at most 1e-4 (hi - lo)
-# leaves an error of about 1e-8 (hi - lo), so the long-double step that
-# follows is at most 1e-8 (hi - lo) and leaves about 1e-16 (hi - lo).  Every
-# bracket is at most about its root's magnitude (or holds the root 0), so that
-# is within a double ulp of the root.  A long-double step larger than the
-# second bound is not yet in that regime and is followed by another.
+# Stop tests of _polish.  Newton's error obeys e' ~ (f'' / 2 f') e^2, and
+# f'' / f' is of the order of one over the root spacing, of which a scan or
+# Bruns bracket is a fixed fraction, or over |x| where a root lies much
+# closer to the origin than its bracket is wide (the first Laguerre bracket
+# near alpha -1): e' ~ e^2 / min(hi - lo, |x|).  A long-double step of at
+# most 1e-8 min(hi - lo, |x|) thus leaves about 1e-16 min(hi - lo, |x|),
+# within a double ulp of the root; a larger one is not yet in that regime and
+# is followed by another.  A Legendre root, started at its bracket midpoint,
+# first takes double steps until every step is at most 1e-4 (hi - lo), which
+# leaves about 1e-8 (hi - lo) for the long-double step.
 _DOUBLE_STOP = 1e-4
 _WIDE_STOP = 1e-8
 
 
-def _bracket_by_scan(fn_df, grid, n_roots):
-    """Bracket n_roots sign changes of a function p on the ascending grid,
-    and start each root where the cubic through both bracket ends' values
-    and slopes crosses zero.
+def _taylor_start(series, x0, v, dv, lo, hi, x):
+    """Roots in (lo, hi) of the Taylor series about x0 of a function with
+    value v and slope dv at x0, by Newton steps on the series from x until
+    every step is at most _WIDE_STOP min(hi - lo, |x|), _TAYLOR_STEPS at
+    most (a step that would leave the bracket ends at it).  series(x0, v, dv)
+    returns the _TAYLOR_TERMS coefficients, vectorized over the roots, from
+    the function's differential equation."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.array(series(x0, v, dv))
+        dc = c[1:] * np.arange(1, _TAYLOR_TERMS)[:, np.newaxis]
+        t, t_lo, t_hi = x - x0, lo - x0, hi - x0
+        for _ in range(_TAYLOR_STEPS):
+            powers = np.cumprod(np.broadcast_to(t, (_TAYLOR_TERMS - 1, t.size)), axis=0)
+            y = c[0] + np.einsum("ij,ij->j", c[1:], powers)
+            dy = dc[0] + np.einsum("ij,ij->j", dc[1:], powers[:-1])
+            step = y / dy
+            t = np.clip(t - step, t_lo, t_hi)
+            if np.all(np.abs(step) <= _WIDE_STOP * np.minimum(hi - lo, np.abs(x0 + t))):
+                break
+    return x0 + t
 
-    fn_df(grid) returns (p, p', s), p and its derivative in the grid's
+
+def _bracket_by_scan(fn_df, grid, n_roots, series):
+    """Bracket n_roots sign changes of a function y on the ascending grid,
+    and start each root from the Taylor series of y's differential equation
+    about the bracket end nearer the chord point.
+
+    fn_df(grid) returns (y, y', s), y and its derivative in the grid's
     variable, both times exp(-s) per point, as the engines give them: the
     slopes cost no sweep, since every engine returns v_{K-1} with v_K.
-    Returns the lower and upper bracket ends, the sign of p at the lower
-    ends and the start in each bracket (a, b): the root of the cubic
-    Hermite interpolant through p and p' at a and b, from _CUBIC_STEPS
-    Newton steps on the cubic from the point where the chord crosses zero
-    (a step that would leave the bracket is not taken).  A grid that shows
-    another number of sign changes (a root pair between two points, or p
-    exactly 0 at a point) raises QuadratureError.
+    Returns the lower and upper bracket ends, the sign of y at the lower
+    ends and the start in each bracket (a, b): the root of the series about
+    a or b (:func:`_taylor_start` with series), from the point where the chord
+    through both ends crosses zero.  The series is taken about the end with
+    the smaller |y|, except in the grid's first interval, where it is taken
+    about the origin, which the grid starts just above: the origin may be a
+    singular point of the equation (Laguerre), where a series about a point
+    that close cancels, and only the series' root is used, so y's value at
+    the first point serves as the scale.  The grid step is at most half the
+    Sturm bound on the root spacing, so each interval holds at most one
+    root; a grid that shows another number of sign changes (y exactly 0 at
+    a point, say) raises QuadratureError.
     """
     f, df, s = fn_df(grid)
     signs = np.sign(f)
@@ -202,23 +245,17 @@ def _bracket_by_scan(fn_df, grid, n_roots):
             f"scan found {flips.size} of {n_roots} roots on ({grid[0]}, {grid[-1]}) with {grid.size} points"
         )
     a, b = flips, flips + 1
-    h = grid[b] - grid[a]
-    # both ends over the larger of their scales, so neither overflows, with
-    # slopes per unit of t = (x - grid[a]) / h
+    # both values over the larger of their scales, so neither overflows
     top = np.maximum(s[a], s[b])
-    at_a, at_b = np.exp(s[a] - top), np.exp(s[b] - top)
-    pa, pb, da, db = f[a] * at_a, f[b] * at_b, h * df[a] * at_a, h * df[b] * at_b
-    # p(t) = pa + t (da + t (c2 + t c3)), with p(1) = pb and p'(1) = db
-    c2, c3 = 3.0 * (pb - pa) - 2.0 * da - db, 2.0 * (pa - pb) + da + db
-    t = pa / (pa - pb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_CUBIC_STEPS):
-            tn = t - (pa + t * (da + t * (c2 + t * c3))) / (da + t * (2.0 * c2 + 3.0 * t * c3))
-            t = np.where((tn >= 0.0) & (tn <= 1.0), tn, t)
-    return grid[a], grid[b], signs[a], grid[a] + h * t
+    pa, pb = f[a] * np.exp(s[a] - top), f[b] * np.exp(s[b] - top)
+    chord = grid[a] + (grid[b] - grid[a]) * (pa / (pa - pb))
+    end = np.where((np.abs(pb) < np.abs(pa)) & (a > 0), b, a)
+    x0 = np.where(a > 0, grid[end], 0.0)
+    start = _taylor_start(series, x0, f[end], df[end], grid[a], grid[b], chord)
+    return grid[a], grid[b], signs[a], start
 
 
-def _polish(fn_df, lo, hi, f_lo_sign, x):
+def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
     """Roots in the brackets (lo, hi), ascending, from the start points x,
     as np.longdouble, and log |df| at each.
 
@@ -229,28 +266,45 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     df' = 0 wherever f = 0, so one evaluation next to a root gives df at
     the root to second order, and with it the weights in closed form.
 
-    One safeguarded Newton loop measures every step against its bracket
-    width hi - lo.  It runs in double until every step is at most
-    _DOUBLE_STOP of it, then on np.longdouble points until every step is at
-    most _WIDE_STOP of it (the derivation is at the constants): one
-    long-double step for every rule of 1-512 nodes, which takes the roots
-    within a few double ulp.  Where np.longdouble is plain double these are
-    double steps, and the two dtypes compare equal, so a flag, not the
-    dtype, marks the second stage.  A step that small is taken even where rounding noise
-    has closed the loop's bracket around the noisy double root; a larger
-    one must stay strictly inside the bracket, or the loop bisects.
+    One safeguarded Newton loop runs on np.longdouble points until every
+    step is at most _WIDE_STOP min(hi - lo, |x|) (the derivation is at the
+    constants): one long-double step from the Hermite and Laguerre Taylor
+    starts (wide=True) of every rule measured, 1-512 nodes and alpha from
+    -1 + 1.1e-16 to 1e4, which takes the roots within a few double ulp.
+    Starts that are not that close, the Legendre bracket midpoints, first
+    take double steps until every step is at most _DOUBLE_STOP (hi - lo).
+    Where np.longdouble is plain double the long-double steps are double
+    steps, and the two dtypes compare equal, so the wide flag, not the
+    dtype, marks the second stage.  A step under the stop is taken even
+    where rounding noise has closed the loop's bracket around the noisy
+    double root; a larger one must stay strictly inside the bracket, or the
+    loop bisects.
 
-    The long-double points are the double ones rounded to a multiple of the
-    long-double spacing at the top bracket end.  Then every c_k - rho of the
-    Laguerre recurrence (c_k = 2k + 1 + alpha) is exact where rho < c_k;
-    otherwise it drops the low bits of a small rho, the rounding that puts
-    the smallest Laguerre nodes thousands of ulp off in double.  In 80-bit
-    long double the rounding moves no node above 1/2048 of the top end,
-    which is every Hermite and Legendre node.
+    Every long-double point at least 1/_WIDE_STOP long-double spacings at
+    the top bracket end from the origin is rounded to a multiple of that
+    spacing.  Then every c_k - rho of the Laguerre recurrence
+    (c_k = 2k + 1 + alpha) is exact where rho < c_k; otherwise it drops the
+    low bits of a small rho, the rounding that puts the smallest Laguerre
+    nodes thousands of ulp off in double.  In 80-bit long double the
+    rounding moves no node above 1/2048 of the top end, which is every
+    Hermite and Legendre node.  The last step, from a rounded point up to
+    half a spacing e off, leaves about e^2 / |x|, at most 0.1 double ulp at
+    that threshold.  A smaller root (the first Laguerre root near alpha -1,
+    below about 2.2e-8 at 512 nodes) keeps its unrounded points: there a
+    step from the spacing grid never passes the stop, and the last one would
+    leave up to about 4e-4 of the root.  The rounding of c_k - rho then
+    biases that node by up to about 22 double ulp at 480-512 nodes (README,
+    "Numerical notes").  A loop that has not stopped after 120 sweeps raises
+    QuadratureError.
     """
     a, b = lo, hi
-    stop, wide = _DOUBLE_STOP * (hi - lo), False
+    quantum = np.spacing(np.longdouble(np.max(hi, initial=0.0)))
     for _ in range(120):
+        if wide:
+            x = np.where(np.abs(x) < quantum / _WIDE_STOP, x, np.round(x / quantum) * quantum)
+            stop = _WIDE_STOP * np.minimum(hi - lo, np.abs(x))
+        else:
+            stop = _DOUBLE_STOP * (hi - lo)
         f, df, s = fn_df(x)
         same_as_lo = np.sign(f) == f_lo_sign
         a = np.where(same_as_lo, x, a)
@@ -260,27 +314,26 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
         xn = x - step
         small = np.abs(step) <= stop
         x = np.where(small | ((xn > a) & (xn < b)), xn, 0.5 * (a + b))
-        if not np.all(small):
-            continue
-        if wide:
-            break
-        quantum = np.spacing(np.longdouble(np.max(hi, initial=0.0)))
-        x = (np.round(x / quantum) * quantum).astype(np.longdouble)
-        stop, wide = _WIDE_STOP * (hi - lo), True
+        if np.all(small):
+            if wide:
+                break
+            wide = True
+    else:
+        raise QuadratureError(f"polish of {x.size} roots did not converge in 120 sweeps")
     with np.errstate(divide="ignore"):
         log_d = np.log(np.abs(df)) + s
     order = np.argsort(x)
     return x[order], log_d[order]
 
 
-def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
+def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd, wide=False):
     """:func:`_polish` for an even or odd f from brackets of its positive
     roots, mirrored to every root.  The root 0 of an odd f, an exact 0 of
     its recurrence, joins the polish at 0 for its slope."""
     if odd:
         t = lo[0] if lo.size else 1.0
         lo, hi, f_lo_sign, x = np.r_[-t, lo], np.r_[t, hi], np.r_[1.0, f_lo_sign], np.r_[0.0, x]
-    roots, log_d = _polish(fn_df, lo, hi, f_lo_sign, x)
+    roots, log_d = _polish(fn_df, lo, hi, f_lo_sign, x, wide)
     pos = slice(1 if odd else 0, None)
     return np.concatenate([-roots[pos][::-1], roots]), np.concatenate([log_d[pos][::-1], log_d])
 
@@ -305,6 +358,83 @@ def _laguerre_fn_df_s(count, alpha, s):
     """lf_K(s^2) and its slope in s, 2 s lf_K' = 2 (rho lf_K') / s, for the scan."""
     f, df, log_scale = _laguerre_fn_df(count, alpha, s * s)
     return f / (s * s), 2.0 * df / s, log_scale
+
+
+# Scan grids.  Sturm's comparison theorem: where u'' + Q u = 0 and Q <= w^2,
+# consecutive zeros of u are at least pi / w apart.  Each grid step is at most
+# half that bound, so every interval holds at most one root and the Taylor
+# start is taken at most about a quarter of a spacing from its end.  A grid
+# starts at 1e-9 of a step, above the origin, which is the root 0 of an odd
+# Hermite rule and the singular point of the Laguerre equation.
+
+
+def _hermite_grid(count):
+    """Scan grid of the positive roots of h_K, up to u = sqrt(2K + 1) + 1/2,
+    above the largest root: h_K'' + (2K + 1 - x^2) h_K = 0, so w^2 = 2K + 1."""
+    upper = math.sqrt(2.0 * count + 1.0) + 0.5
+    step = 0.5 * math.pi / math.sqrt(2.0 * count + 1.0)
+    return np.linspace(step * 1e-9, upper, math.ceil(upper / step) + 1)
+
+
+def _laguerre_grid(count, alpha):
+    """Scan grid of the roots of y(s) = lf_K(s^2), s = sqrt(rho), up to
+    sqrt(4K + 2 alpha + 4), above the largest root: u = sqrt(s) y obeys
+    u'' + (4K + 2 alpha + 2 - s^2 - (alpha^2 - 1/4) / s^2) u = 0, so
+    w^2 = 4K + 2 alpha + 2 where |alpha| >= 1/2.  For |alpha| < 1/2 the last
+    term is positive near the origin, where the roots approach the Bessel
+    zeros j_{alpha,i} / w, and j_{alpha,2} - j_{alpha,1} is down to 0.991 pi
+    (alpha about -0.1; every rule of 2 to 512 nodes measured the same): the
+    step is at most half of 0.99 times the bound."""
+    s_hi = math.sqrt(4.0 * count + 2.0 * alpha + 4.0)
+    step = 0.495 * math.pi / math.sqrt(4.0 * count + 2.0 * alpha + 2.0)
+    return np.linspace(step * 1e-9, s_hi, math.ceil(s_hi / step) + 1)
+
+
+def _hermite_series(count, x, v, dv):
+    """Taylor coefficients of h_K about x from h_K(x) = v and h_K'(x) = dv:
+    h_K'' = (x^2 - 2K - 1) h_K gives, in powers of the distance from x,
+    (n + 2)(n + 1) c_{n+2} = (x^2 - 2K - 1) c_n + 2 x c_{n-1} + c_{n-2}."""
+    a, b = x * x - (2 * count + 1), 2.0 * x
+    c = [0.0, 0.0, v, dv]  # c_{-2} to c_1
+    for n in range(_TAYLOR_TERMS - 2):
+        c.append((a * c[n + 2] + b * c[n + 1] + c[n]) / ((n + 2) * (n + 1)))
+    return c[2:]
+
+
+def _laguerre_series(count, alpha, s, v, dv):
+    """Taylor coefficients about s of g = s^(-alpha) y, y = lf_K(s^2), up to
+    the factor s^(-alpha) > 0, from y(s) = v and y'(s) = dv.  The series of
+    y converges only within s of the origin; g, a constant times
+    exp(-s^2/2) L_K^(alpha)(s^2), is entire.  It obeys
+    s g'' + (2 alpha + 1) g' + (4 kappa s - s^3) g = 0, kappa = K + (alpha + 1)/2,
+    so in powers of the distance from s
+    s (n + 2)(n + 1) c_{n+2} = -(n + 1)(n + 2 alpha + 1) c_{n+1} - (4 kappa s - s^3) c_n
+    - (4 kappa - 3 s^2) c_{n-1} + 3 s c_{n-2} + c_{n-3}.
+    That divides by s, and near the origin c_1 = dv - alpha v / s cancels,
+    so the first interval's roots take the series about s = 0 itself
+    (:func:`_bracket_by_scan`), :func:`_origin_series`."""
+    k4 = 4 * count + 2 * alpha + 2
+    a, b, d = k4 * s - s**3, k4 - 3.0 * s * s, 3.0 * s
+    c = [0.0, 0.0, 0.0, v, dv - alpha * v / s]  # c_{-3} to c_1
+    for n in range(_TAYLOR_TERMS - 2):
+        total = (n + 1) * (n + 2 * alpha + 1) * c[n + 4] + a * c[n + 3] + b * c[n + 2] - d * c[n + 1] - c[n]
+        c.append(-total / (s * ((n + 2) * (n + 1))))
+    c = np.array(c[3:])
+    origin = s == 0.0
+    if np.any(origin):
+        c[:, origin] = _origin_series(k4, alpha, v[origin])
+    return c
+
+
+def _origin_series(k4, alpha, v):
+    """Taylor coefficients about the origin of the g of
+    :func:`_laguerre_series`, scaled to g(0) = v: in powers of s the
+    equation gives (n + 1)(n + 2 alpha + 1) c_{n+1} = c_{n-3} - k4 c_{n-1},
+    k4 = 4 kappa, with c_1 = 0 (g is even)."""
+    c = [0.0, 0.0, 0.0, v, np.zeros_like(v)]  # c_{-3} to c_1
+    for n in range(1, _TAYLOR_TERMS - 1):
+        c.append((c[n] - k4 * c[n + 2]) / ((n + 1) * (n + 2 * alpha + 1)))
+    return c[3:]
 
 
 def _legendre_fn_df(count, x):
@@ -371,10 +501,9 @@ def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
 def _hermite_nodes(count):
     """Read-only roots of H_count, ascending, with their log weights and
     modified weights (memoized per process)."""
-    upper = math.sqrt(2.0 * count + 1.0) + 0.5
     h_pair = functools.partial(_hermite_fn_df, count)
-    brackets = _bracket_by_scan(h_pair, np.linspace(upper * 1e-9, upper, 4 * count + 64), count // 2)
-    x, log_d = _symmetric_roots(h_pair, *brackets, count % 2)
+    brackets = _bracket_by_scan(h_pair, _hermite_grid(count), count // 2, functools.partial(_hermite_series, count))
+    x, log_d = _symmetric_roots(h_pair, *brackets, count % 2, wide=True)
     # sum_{j<K} h_j^2 = h_K'^2 / 2 at a root of h_K
     return _christoffel_arrays(x, -x * x, 2.0 * log_d - np.log(np.longdouble(2.0)), _hermite_offset)
 
@@ -398,18 +527,16 @@ def _laguerre_nodes(count, alpha):
     """Read-only roots of L_count^(alpha), ascending, with their log weights
     and modified weights (memoized per process).
 
-    Root scanning and the cubic start run in s = sqrt(rho), which spreads
+    Root scanning and the Taylor start run in s = sqrt(rho), which spreads
     the near-origin clustering of Laguerre zeros into nearly uniform
-    spacing (the cubic in rho cost one more sweep at alpha 0 to 5.5);
-    polishing runs in rho with the normalized-function derivative identity.
+    spacing; polishing runs in rho with the normalized-function derivative
+    identity.
     """
-    upper = 2.0 * (2.0 * count + alpha + 1.0) + 2.0
     lf_pair_rho = functools.partial(_laguerre_fn_df, count, alpha)
     lf_pair_s = functools.partial(_laguerre_fn_df_s, count, alpha)
-    s_hi = math.sqrt(upper)
-    grid = np.linspace(s_hi * 1e-9, s_hi, max(128, 2 * int(math.ceil(upper))))
-    s_lo, s_hi_b, f_lo_sign, s_start = _bracket_by_scan(lf_pair_s, grid, count)
-    rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi_b * s_hi_b, f_lo_sign, s_start * s_start)
+    series = functools.partial(_laguerre_series, count, alpha)
+    s_lo, s_hi, f_lo_sign, s_start = _bracket_by_scan(lf_pair_s, _laguerre_grid(count, alpha), count, series)
+    rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi * s_hi, f_lo_sign, s_start * s_start, wide=True)
     # sum_{j<K} lf_j^2 = rho lf_K'^2 = (rho lf_K')^2 / rho at a root of lf_K
     return _christoffel_arrays(
         rho, alpha * np.log(rho) - rho, 2.0 * log_d - np.log(rho), functools.partial(_laguerre_offset, alpha)

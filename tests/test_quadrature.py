@@ -2,9 +2,12 @@
 and the reference implementations in numpy/scipy (oracle side only)."""
 
 import dataclasses
+import functools
+import importlib.util
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -74,6 +77,13 @@ def test_laguerre_one_point():
     rule = gauss_laguerre(1, 0.5)
     assert rule.nodes == pytest.approx([1.5], rel=1e-14)
     assert rule.weights == pytest.approx([math.sqrt(math.pi) / 2], rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-0.999, -1.0 + 1e-9, -1.0 + 1e-12, -1.0 + 1e-14])
+def test_laguerre_one_point_next_to_alpha_minus_one(alpha):
+    # L_1 = 1 + alpha - rho, whose root 1 + alpha is exact in double here and
+    # so close to the origin that a Newton step past it leaves the domain
+    assert gauss_laguerre(1, alpha).nodes.tolist() == [1.0 + alpha]
 
 
 def test_legendre_small_rules():
@@ -196,10 +206,59 @@ def test_count_limits():
     assert np.all(np.isfinite(rule.log_weights))
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 512])
+@pytest.mark.parametrize("alpha", [-0.999, -1.0 + 1e-12, 1e3, 1e4])
+def test_laguerre_builds_at_extreme_alpha(count, alpha):
+    """Near alpha -1 the first root is far closer to the origin than its
+    bracket is wide (at 1 + alpha = 1e-12 and 512 nodes, below a scan grid
+    that starts at 1e-9 of its top end); at large alpha the scan grid is
+    long.  Each rule still builds, with finite positive modified weights and
+    ascending nodes."""
+    rule = gauss_laguerre(count, alpha)
+    assert rule.count == count
+    assert np.all(np.diff(rule.nodes) > 0) and rule.nodes[0] > 0
+    assert np.all(np.isfinite(rule.log_weights))
+    assert np.all(np.isfinite(rule.modified_weights)) and np.all(rule.modified_weights > 0)
+
+
+GRID_RULES = [pytest.param(count, None, id=f"hermite-{count}") for count in (2, 3, 8, 31, 64, 145, 256, 403, 512)] + [
+    pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
+    for alpha in (-0.99, -0.5, -0.1, 0.0, 0.5, 10.5, 64.5)
+    for count in (2, 3, 8, 31, 64, 145, 256, 403, 512)
+]
+
+
+@pytest.mark.parametrize("count, alpha", GRID_RULES)
+def test_scan_step_is_at_most_half_the_node_gap(count, alpha):
+    """The scan grids (quadrature._hermite_grid, _laguerre_grid, where the
+    Sturm bound is stated) step at most half the smallest gap between the
+    rule's own nodes, in x or in s = sqrt(rho): every interval holds at most
+    one root, and the Taylor start is taken at most about a quarter of a
+    spacing from its end.  A rule of 1 node has no gap."""
+    if alpha is None:
+        grid, roots = quadrature._hermite_grid(count), gauss_hermite(count).nodes
+    else:
+        grid, roots = quadrature._laguerre_grid(count, alpha), np.sqrt(gauss_laguerre(count, alpha).nodes)
+    assert np.max(np.diff(grid)) <= 0.5 * np.min(np.diff(roots))
+    assert 0.0 < grid[0] < roots[roots > 0][0] and roots[-1] < grid[-1]
+
+
 def test_scan_that_misses_a_root_is_a_quadrature_error():
-    # cos has no sign change on (0.1, 1.0), and the scan does not refine
+    # cos has no sign change on (0.1, 1.0), and the scan does not refine; it
+    # raises before it starts a root, so it needs no series
     with pytest.raises(QuadratureError, match="found 0 of 1 roots"):
-        quadrature._bracket_by_scan(lambda x: (np.cos(x), -np.sin(x), 0.0 * x), np.linspace(0.1, 1.0, 64), 1)
+        quadrature._bracket_by_scan(lambda x: (np.cos(x), -np.sin(x), 0.0 * x), np.linspace(0.1, 1.0, 64), 1, None)
+
+
+def test_polish_that_does_not_converge_is_a_quadrature_error():
+    # a unit step from every point never passes the stop: the loop bisects
+    # towards the upper end for its 120 sweeps and must say so
+    def fn_df(x):
+        return np.ones_like(x), np.ones_like(x), np.zeros_like(x)
+
+    one = np.ones(1)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        quadrature._polish(fn_df, 0.0 * one, one, one, 0.5 * one, wide=True)
 
 
 def test_determinism():
@@ -370,23 +429,25 @@ def _count_engine_sweeps(monkeypatch, *engines):
         ("_legendre_pair", lambda: gauss_legendre(512, -1.0, 1.0)),
         # the double loop chased rounding noise here for 15 sweeps
         pytest.param("_laguerre_engine", lambda: gauss_laguerre(478, 10.5), id="laguerre-478-10.5"),
+        # a cubic start here was just outside the double stop: a fourth call
+        pytest.param("_laguerre_engine", lambda: gauss_laguerre(403, -0.5), id="laguerre-403--0.5"),
     ],
 )
 def test_polish_converges_by_newton(monkeypatch, engine, build):
-    """Each recurrence sweep costs O(count^2).  From the cubic start a
-    Hermite build sweeps 3 times, its scan included, a Laguerre build at
-    most 4 and a Legendre build (no scan; its weights come from the polish)
-    at most 4, always with exactly one long-double step, where a polish
+    """Each recurrence sweep costs O(count^2).  From the Taylor start a
+    Hermite or Laguerre build sweeps exactly twice, the scan and one
+    long-double step; a Legendre build (no scan; its weights come from the
+    polish) at most 4 times, with exactly one long-double step.  A polish
     that falls back to bisection after convergence runs about 40 sweeps
     until the brackets shrink to eps.  The node memos are cleared first, so
     the build sweeps at all."""
     calls = _count_engine_sweeps(monkeypatch, engine)
     _clear_node_memos()
     build()
-    if engine == "_hermite_engine":
-        assert len(calls) == 3
-    else:
+    if engine == "_legendre_pair":
         assert 2 <= len(calls) <= 4
+    else:
+        assert len(calls) == 2
     assert calls.count(np.longdouble) == 1
 
 
@@ -497,6 +558,12 @@ LEGENDRE_WEIGHT_REL = 1e-14
 # double: the double recurrence's rounding noise (README "Numerical notes").
 PLAIN_NODE_ULP = 2000.0
 PLAIN_WEIGHT_REL = 1e-12
+# Largest distance, in double ulp, of the smallest node of a 512-point
+# Laguerre rule near alpha -1 from its root, where that root lies below 1e8
+# long-double spacings of the top bracket end and the polish does not round
+# its points: the rounding of the recurrence's c_k - rho there (README
+# "Numerical notes"; up to 22 measured).
+NEAR_ORIGIN_NODE_ULP = 32.0
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
@@ -620,6 +687,73 @@ def test_legendre_edge_weights_against_mpmath(count):
             weight = 2 * (1 - x * x) / (count * mpmath.legendre(count - 1, x)) ** 2
             rel = abs(rule.weights[i] - weight) / weight
             assert rel <= LEGENDRE_WEIGHT_REL, (i, float(rel))
+
+
+@functools.cache
+def _node_audit():
+    """tools/node_audit.py, whose series_ulp is the node audit's reference at
+    the smallest Laguerre nodes."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "node_audit.py"
+    spec = importlib.util.spec_from_file_location("node_audit", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Relative offset of the smallest root's start in the rough-start case below:
+# between _WIDE_STOP |x| and _WIDE_STOP (hi - lo) for those roots, so a stop
+# scaled to the bracket alone takes the first long-double step as the last,
+# and a second long-double step is taken from an unrounded point unless
+# every iterate is rounded.
+ROUGH_START = 1e-7
+
+
+@needs_long_double
+@pytest.mark.parametrize("count", [50, 200, 512])
+@pytest.mark.parametrize("alpha", [-0.99, -0.9])
+def test_smallest_nodes_near_alpha_minus_one(count, alpha):
+    """The 6 smallest nodes, near alpha -1, lie within NODE_ULP of the root
+    of the power series in mpmath, as built, and when the polish starts the
+    smallest root ROUGH_START off.  There the first bracket is far wider
+    than its root: a long-double stop scaled to the bracket alone left the
+    smallest 30 to 37 ulp off at alpha -0.99, and rounding only the first
+    long-double iterate to the long-double spacing about 10 ulp at 512
+    nodes."""
+    series_ulp = _node_audit().series_ulp
+    nodes = gauss_laguerre(count, alpha).nodes
+    assert max(series_ulp(count, alpha, nodes[:6])) <= NODE_ULP
+    lo, hi, lo_sign, start = quadrature._bracket_by_scan(
+        functools.partial(quadrature._laguerre_fn_df_s, count, alpha),
+        quadrature._laguerre_grid(count, alpha),
+        count,
+        functools.partial(quadrature._laguerre_series, count, alpha),
+    )
+    start = start * start
+    start[0] *= 1.0 + ROUGH_START
+    fn_df = functools.partial(quadrature._laguerre_fn_df, count, alpha)
+    roots, _ = quadrature._polish(fn_df, lo * lo, hi * hi, lo_sign, start, wide=True)
+    assert max(series_ulp(count, alpha, roots[:6].astype(float))) <= NODE_ULP
+
+
+@needs_long_double
+@pytest.mark.parametrize("count", [2, 64, 512])
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_laguerre_next_to_alpha_minus_one(monkeypatch, count, gap):
+    """At 1 + alpha of 1e-9 and 1e-12 the first root lies in the scan's
+    first interval, far below the chord point, and starts from the series
+    about the origin; a rule still sweeps exactly twice.  Its 6 smallest
+    nodes are within NODE_ULP of the root of the power series in mpmath, or,
+    at 512 nodes, where the smallest root lies below 1e8 long-double
+    spacings of the top end and the polish keeps its points unrounded,
+    within NEAR_ORIGIN_NODE_ULP.  Rounding those points too cycled the
+    polish to its sweep cap and left that node up to 1e12 ulp off."""
+    alpha = -1.0 + gap
+    calls = _count_engine_sweeps(monkeypatch, "_laguerre_engine")
+    _clear_node_memos()
+    nodes = gauss_laguerre(count, alpha).nodes
+    assert len(calls) == 2 and calls.count(np.longdouble) == 1
+    bound = NEAR_ORIGIN_NODE_ULP if count == 512 else NODE_ULP
+    assert max(_node_audit().series_ulp(count, alpha, nodes[:6])) <= bound
 
 
 @pytest.mark.parametrize("count,alpha", [(3, 0.0), (8, 2.5), (16, 0.5), (40, 2.5), (64, 10.5)])

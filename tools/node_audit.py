@@ -34,7 +34,9 @@ Usage:
 
 Prints one summary line per family and exits 1 when any node is more than
 NODE_ULP from its reference, the node contract of the README's "Numerical
-notes"; exits 2 where np.longdouble is plain double, which leaves no
+notes", or when a family's largest relative weight error exceeds the
+README's figure over every node, WEIGHT_REL for Hermite and Laguerre
+modified weights and LEGENDRE_WEIGHT_REL for Legendre weights; exits 2 where np.longdouble is plain double, which leaves no
 reference.  The record holds no timings, so a rerun on the same platform
 writes the same bytes.
 """
@@ -54,6 +56,8 @@ import numpy as np
 from kgo import quadrature, special
 
 NODE_ULP = 4.0
+WEIGHT_REL = 2e-15
+LEGENDRE_WEIGHT_REL = 1e-14
 COUNTS = range(1, quadrature.MAX_NODES + 1)
 ALPHAS = (-0.5, 0.0, 0.5, 10.5, 64.5)
 ENGINES = ("_hermite_engine", "_laguerre_engine", "_legendre_pair")
@@ -193,6 +197,7 @@ def main(argv=None):
     families = [("hermite", None)] + [("laguerre", alpha) for alpha in ALPHAS] + [("legendre", None)]
     record = {
         "node_ulp_contract": NODE_ULP,
+        "weight_rel_contract": {"modified": WEIGHT_REL, "legendre": LEGENDRE_WEIGHT_REL},
         "reference": (
             f"{REFERENCE_STEPS} long-double Newton steps from each double node; at the {SERIES_NODES} smallest "
             f"nodes of each Laguerre rule the root of the power series in mpmath"
@@ -216,8 +221,14 @@ def main(argv=None):
     beyond = {name: s["nodes_beyond_contract"] for name, s in record["families"].items() if s["nodes_beyond_contract"]}
     if beyond:
         print(f"nodes beyond {NODE_ULP} ulp: {beyond}", file=sys.stderr)
-        return 1
-    return 0
+    heavy = {
+        name: s["weight_rel_max"]
+        for name, s in record["families"].items()
+        if s["weight_rel_max"] > (LEGENDRE_WEIGHT_REL if name == "legendre" else WEIGHT_REL)
+    }
+    if heavy:
+        print(f"weights beyond the contract: {heavy}", file=sys.stderr)
+    return 1 if beyond or heavy else 0
 
 
 if __name__ == "__main__":
