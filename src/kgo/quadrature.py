@@ -15,18 +15,24 @@ returns each grid point's slope with its value (every engine returns
 v_{K-1} with v_K), so a scanned root starts from the Taylor series of its
 function's differential equation about the nearer bracket end (after
 Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007, used here for the
-start only), within about 2e-12 of its bracket, and a safeguarded
+start only), within about 2e-12 of its bracket.  A Legendre root starts
+from Tricomi's asymptotic form (Hale & Townsend, SIAM J. Sci. Comput. 35,
+2013),
+
+    x_k ~ (1 - (1 - 1/K) / (8 K^2)) cos((k - 1/4) pi / (K + 1/2)),
+
+which lies inside its Bruns bracket.  From either start a safeguarded
 bisection/Newton hybrid on np.longdouble points, through the same
-recurrences, takes one step from there.  A Bruns bracket starts at its
-midpoint and takes double steps first.  With 80-bit long double (x86-64
-Linux) every Hermite, Laguerre (alpha -0.5 to 64.5) and Legendre node of up
-to 512 points is within 4 ulp of its root (the node audit,
-tools/node_audit.py, checks every one), where the double recurrence alone
-left the smallest Laguerre nodes up to 8,218 ulp off; where np.longdouble is
-plain double the last steps are double steps.  A cold Hermite or Laguerre
-rule costs 2 recurrence sweeps, the scan and the long-double step, and a
-Legendre rule at most 4, and none for weights.  Symmetric rules polish only
-their positive roots (and the root 0 of an odd rule) and mirror them.
+recurrences, takes one step (Hermite, Laguerre) or at most 3 (Legendre).
+With 80-bit long double (x86-64 Linux) every Hermite, Laguerre (alpha -0.5
+to 64.5) and Legendre node of up to 512 points is within 4 ulp of its root
+(the node audit, tools/node_audit.py, checks every one), where the double
+recurrence alone left the smallest Laguerre nodes up to 8,218 ulp off;
+where np.longdouble is plain double every step is a double step.  A cold
+Hermite or Laguerre rule costs 2 recurrence sweeps, the scan and the
+long-double step, and a Legendre rule at most 3, and none for weights.
+Symmetric rules polish only their positive roots (and the root 0 of an odd
+rule) and mirror them.
 
 Weights come from the Christoffel identity
 
@@ -171,7 +177,7 @@ def _check_count(count):
 # bracket (Hermite 7e-14; Laguerre at alpha -0.5 to 1000, of 2 to 512 nodes),
 # where the double scan values' rounding noise is the limit, inside the
 # long-double stop below.  The steps stop as the long-double ones do, at
-# _WIDE_STOP min(hi - lo, |x|), after 3 or 4 at most rules.  A Laguerre root
+# _STOP min(hi - lo, |x|), after 3 or 4 at most rules.  A Laguerre root
 # in the grid's first interval is started from the series about the origin
 # (:func:`_origin_series`); near alpha -1 it lies far below the chord point,
 # and Newton steps on a function even about the origin halve the distance
@@ -180,24 +186,21 @@ def _check_count(count):
 _TAYLOR_TERMS = 16
 _TAYLOR_STEPS = 40
 
-# Stop tests of _polish.  Newton's error obeys e' ~ (f'' / 2 f') e^2, and
+# Stop test of _polish.  Newton's error obeys e' ~ (f'' / 2 f') e^2, and
 # f'' / f' is of the order of one over the root spacing, of which a scan or
 # Bruns bracket is a fixed fraction, or over |x| where a root lies much
-# closer to the origin than its bracket is wide (the first Laguerre bracket
-# near alpha -1): e' ~ e^2 / min(hi - lo, |x|).  A long-double step of at
-# most 1e-8 min(hi - lo, |x|) thus leaves about 1e-16 min(hi - lo, |x|),
-# within a double ulp of the root; a larger one is not yet in that regime and
-# is followed by another.  A Legendre root, started at its bracket midpoint,
-# first takes double steps until every step is at most 1e-4 (hi - lo), which
-# leaves about 1e-8 (hi - lo) for the long-double step.
-_DOUBLE_STOP = 1e-4
-_WIDE_STOP = 1e-8
+# closer to the origin than the width of its bracket (the first Laguerre
+# bracket near alpha -1): e' ~ e^2 / min(hi - lo, |x|).  A long-double step
+# of at most 1e-8 min(hi - lo, |x|) thus leaves about 1e-16 min(hi - lo, |x|),
+# within a double ulp of the root; a larger one is not yet in that regime
+# and is followed by another.
+_STOP = 1e-8
 
 
 def _taylor_start(series, x0, v, dv, lo, hi, x):
     """Roots in (lo, hi) of the Taylor series about x0 of a function with
     value v and slope dv at x0, by Newton steps on the series from x until
-    every step is at most _WIDE_STOP min(hi - lo, |x|), _TAYLOR_STEPS at
+    every step is at most _STOP min(hi - lo, |x|), _TAYLOR_STEPS at
     most (a step that would leave the bracket ends at it).  series(x0, v, dv)
     returns the _TAYLOR_TERMS coefficients, vectorized over the roots, from
     the function's differential equation."""
@@ -211,7 +214,7 @@ def _taylor_start(series, x0, v, dv, lo, hi, x):
             dy = dc[0] + np.einsum("ij,ij->j", dc[1:], powers[:-1])
             step = y / dy
             t = np.clip(t - step, t_lo, t_hi)
-            if np.all(np.abs(step) <= _WIDE_STOP * np.minimum(hi - lo, np.abs(x0 + t))):
+            if np.all(np.abs(step) <= _STOP * np.minimum(hi - lo, np.abs(x0 + t))):
                 break
     return x0 + t
 
@@ -255,7 +258,7 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
     return grid[a], grid[b], signs[a], start
 
 
-def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
+def _polish(fn_df, lo, hi, f_lo_sign, x):
     """Roots in the brackets (lo, hi), ascending, from the start points x,
     as np.longdouble, and log |df| at each.
 
@@ -267,21 +270,17 @@ def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
     the root to second order, and with it the weights in closed form.
 
     One safeguarded Newton loop runs on np.longdouble points until every
-    step is at most _WIDE_STOP min(hi - lo, |x|) (the derivation is at the
-    constants): one long-double step from the Hermite and Laguerre Taylor
-    starts (wide=True) of every rule measured, 1-512 nodes and alpha from
-    -1 + 1.1e-16 to 1e4, which takes the roots within a few double ulp.
-    Starts that are not that close, the Legendre bracket midpoints, first
-    take double steps until every step is at most _DOUBLE_STOP (hi - lo).
-    Where np.longdouble is plain double the long-double steps are double
-    steps, and the two dtypes compare equal, so the wide flag, not the
-    dtype, marks the second stage.  A step under the stop is taken even
-    where rounding noise has closed the loop's bracket around the noisy
-    double root; a larger one must stay strictly inside the bracket, or the
-    loop bisects.
+    step is at most _STOP min(hi - lo, |x|) (the derivation is at the
+    constant), which takes the roots within a few double ulp: one step
+    from the Hermite and Laguerre Taylor starts of every rule measured,
+    1-512 nodes and alpha from -1 + 1.1e-16 to 1e4, and at most 3 from the
+    Legendre starts.  Where np.longdouble is plain double every step is a
+    double step.  A step under the stop is taken even where rounding noise
+    has closed the loop's bracket around the noisy double root; a larger
+    one must stay strictly inside the bracket, or the loop bisects.
 
-    Every long-double point at least 1/_WIDE_STOP long-double spacings at
-    the top bracket end from the origin is rounded to a multiple of that
+    Every long-double point at least 1/_STOP long-double spacings at the
+    top bracket end from the origin is rounded to a multiple of that
     spacing.  Then every c_k - rho of the Laguerre recurrence
     (c_k = 2k + 1 + alpha) is exact where rho < c_k; otherwise it drops the
     low bits of a small rho, the rounding that puts the smallest Laguerre
@@ -300,11 +299,8 @@ def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
     a, b = lo, hi
     quantum = np.spacing(np.longdouble(np.max(hi, initial=0.0)))
     for _ in range(120):
-        if wide:
-            x = np.where(np.abs(x) < quantum / _WIDE_STOP, x, np.round(x / quantum) * quantum)
-            stop = _WIDE_STOP * np.minimum(hi - lo, np.abs(x))
-        else:
-            stop = _DOUBLE_STOP * (hi - lo)
+        x = np.where(np.abs(x) < quantum / _STOP, x, np.round(x / quantum) * quantum)
+        stop = _STOP * np.minimum(hi - lo, np.abs(x))
         f, df, s = fn_df(x)
         same_as_lo = np.sign(f) == f_lo_sign
         a = np.where(same_as_lo, x, a)
@@ -315,9 +311,7 @@ def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
         small = np.abs(step) <= stop
         x = np.where(small | ((xn > a) & (xn < b)), xn, 0.5 * (a + b))
         if np.all(small):
-            if wide:
-                break
-            wide = True
+            break
     else:
         raise QuadratureError(f"polish of {x.size} roots did not converge in 120 sweeps")
     with np.errstate(divide="ignore"):
@@ -326,14 +320,14 @@ def _polish(fn_df, lo, hi, f_lo_sign, x, wide=False):
     return x[order], log_d[order]
 
 
-def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd, wide=False):
+def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
     """:func:`_polish` for an even or odd f from brackets of its positive
     roots, mirrored to every root.  The root 0 of an odd f, an exact 0 of
     its recurrence, joins the polish at 0 for its slope."""
     if odd:
         t = lo[0] if lo.size else 1.0
         lo, hi, f_lo_sign, x = np.r_[-t, lo], np.r_[t, hi], np.r_[1.0, f_lo_sign], np.r_[0.0, x]
-    roots, log_d = _polish(fn_df, lo, hi, f_lo_sign, x, wide)
+    roots, log_d = _polish(fn_df, lo, hi, f_lo_sign, x)
     pos = slice(1 if odd else 0, None)
     return np.concatenate([-roots[pos][::-1], roots]), np.concatenate([log_d[pos][::-1], log_d])
 
@@ -503,7 +497,7 @@ def _hermite_nodes(count):
     modified weights (memoized per process)."""
     h_pair = functools.partial(_hermite_fn_df, count)
     brackets = _bracket_by_scan(h_pair, _hermite_grid(count), count // 2, functools.partial(_hermite_series, count))
-    x, log_d = _symmetric_roots(h_pair, *brackets, count % 2, wide=True)
+    x, log_d = _symmetric_roots(h_pair, *brackets, count % 2)
     # sum_{j<K} h_j^2 = h_K'^2 / 2 at a root of h_K
     return _christoffel_arrays(x, -x * x, 2.0 * log_d - np.log(np.longdouble(2.0)), _hermite_offset)
 
@@ -536,7 +530,7 @@ def _laguerre_nodes(count, alpha):
     lf_pair_s = functools.partial(_laguerre_fn_df_s, count, alpha)
     series = functools.partial(_laguerre_series, count, alpha)
     s_lo, s_hi, f_lo_sign, s_start = _bracket_by_scan(lf_pair_s, _laguerre_grid(count, alpha), count, series)
-    rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi * s_hi, f_lo_sign, s_start * s_start, wide=True)
+    rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi * s_hi, f_lo_sign, s_start * s_start)
     # sum_{j<K} lf_j^2 = rho lf_K'^2 = (rho lf_K')^2 / rho at a root of lf_K
     return _christoffel_arrays(
         rho, alpha * np.log(rho) - rho, 2.0 * log_d - np.log(rho), functools.partial(_laguerre_offset, alpha)
@@ -570,11 +564,14 @@ def gauss_legendre(count: int, a: float, b: float) -> QuadratureRule:
         raise QuadratureError(f"interval must be finite with b > a, got [{a}, {b}]")
 
     # Bruns brackets (module docstring) of the positive roots: k roots lie
-    # above the lower end of the k-th, so P_K has the sign (-1)^k there
+    # above the lower end of the k-th, so P_K has the sign (-1)^k there;
+    # each starts from Tricomi's asymptotic form, inside its bracket
     k = np.arange(count // 2, 0, -1)
-    lo, hi = np.cos(k * math.pi / (count + 0.5)), np.cos((k - 0.5) * math.pi / (count + 0.5))
+    theta = math.pi / (count + 0.5)
+    lo, hi = np.cos(k * theta), np.cos((k - 0.5) * theta)
+    start = (1.0 - (1.0 - 1.0 / count) / (8.0 * count * count)) * np.cos((k - 0.25) * theta)
     p_pair = functools.partial(_legendre_fn_df, count)
-    ref, log_d = _symmetric_roots(p_pair, lo, hi, (-1.0) ** k, 0.5 * (lo + hi), count % 2)
+    ref, log_d = _symmetric_roots(p_pair, lo, hi, (-1.0) ** k, start, count % 2)
     # w = 2 (1 - x^2) / ((1 - x^2) P_K')^2 at the long-double root, where
     # ((1 - x^2) P_K')' = -K (K + 1) P_K
     ref_w = (2.0 * (1.0 - ref) * (1.0 + ref) / np.exp(2.0 * log_d)).astype(float)

@@ -171,7 +171,7 @@ def summarize(rules):
         for lo, hi in zip(edges[:-1], edges[1:])
     }
     calls = [len(r[2]) for r in rules]
-    wide = [sum(r[2]) for r in rules]
+    long_double = [sum(r[2]) for r in rules]
     return {
         "rules": len(rules),
         "nodes": int(ulp.size),
@@ -183,7 +183,7 @@ def summarize(rules):
         "engine_calls_mean": round(sum(calls) / len(calls), 4),
         "engine_calls_max": max(calls),
         "engine_calls_histogram": {str(k): v for k, v in sorted(Counter(calls).items())},
-        "long_double_calls": {str(k): v for k, v in sorted(Counter(wide).items())},
+        "long_double_calls": {str(k): v for k, v in sorted(Counter(long_double).items())},
     }
 
 
