@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrandError, QuadratureError
-from .quadrature import GAUSS_HERMITE, QuadratureRule, _node_table
+from .quadrature import GAUSS_HERMITE, QuadratureRule
 from .special import _check_degree, hermite_function, hermite_function_table
 
 __all__ = [
@@ -197,7 +197,13 @@ def _require_count(rule: QuadratureRule, min_count: int):
 @dataclass(frozen=True)
 class _Line:
     """The 1D sector: psi_n(x) = sqrt(lambda) h_n(lambda x) on Gauss-Hermite
-    rules in xi = lambda x.  ``oscillator3d._Radial`` has the same interface."""
+    rules in xi = lambda x.  ``oscillator3d._Radial`` has the same interface.
+
+    A rule keeps no table of its functions at the nodes.  Each operator that
+    works at a rule's nodes (Gram matrices, projections, the closure driver
+    and the Green's coefficient check) builds the n_max + 1 rows it reads
+    through its sector's ``nodes``, the same bits as the first rows of any
+    taller table."""
 
     params: OscillatorParams
     ell = None
@@ -212,7 +218,7 @@ class _Line:
         """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
         factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
         lam = self.params.lam
-        return rule.nodes / lam, _node_table(rule, n_max), math.sqrt(lam)
+        return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
 
     def table(self, n_max: int, x) -> np.ndarray:
         lam = self.params.lam

@@ -43,7 +43,7 @@ from .oscillator1d import (
     _project,
     _require_count,
 )
-from .quadrature import GAUSS_LAGUERRE, QuadratureRule, _node_table, gauss_legendre
+from .quadrature import GAUSS_LAGUERRE, QuadratureRule, gauss_legendre
 from .special import (
     AngularPoint,
     _check_degree,
@@ -183,7 +183,9 @@ def _radial_argument(params: OscillatorParams, r):
 @dataclass(frozen=True)
 class _Radial:
     """The radial sector of one ell: R_n(r) = sqrt(2 lambda) rho^(1/4) lf_n(rho),
-    rho = lambda^2 r^2, on Gauss-Laguerre rules of alpha = ell + 1/2 in rho."""
+    rho = lambda^2 r^2, on Gauss-Laguerre rules of alpha = ell + 1/2 in rho.
+    Like ``oscillator1d._Line`` it builds the table at a rule's nodes itself,
+    exactly the n_max + 1 rows an operator reads."""
 
     params: OscillatorParams
     ell: int
@@ -208,7 +210,8 @@ class _Radial:
         s_k = sqrt(2 lambda) rho_k^(1/4): R_n(r_k) = s_k lf_n(rho_k) and, as
         dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k)."""
         lam = self.params.lam
-        return np.sqrt(rule.nodes) / lam, _node_table(rule, n_max), math.sqrt(2.0 * lam) * rule.nodes**0.25
+        table = laguerre_function_table(n_max, self.ell + 0.5, rule.nodes)
+        return np.sqrt(rule.nodes) / lam, table, math.sqrt(2.0 * lam) * rule.nodes**0.25
 
     def table(self, n_max: int, r) -> np.ndarray:
         rho, factor = _radial_argument(self.params, np.ravel(r))
@@ -223,7 +226,7 @@ def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: Quadrature
     count >= n_max + 1 reproduces the identity up to rounding.
     """
     _Radial(params, ell).require(rule, n_max + 1)
-    return _gram(_node_table(rule, n_max), rule.modified_weights)
+    return _gram(laguerre_function_table(n_max, ell + 0.5, rule.nodes), rule.modified_weights)
 
 
 def radial_closure_kernel(params: OscillatorParams, ell: int, N_max: int, r: float, r2: float) -> float:

@@ -15,9 +15,9 @@ returns each grid point's slope with its value (every engine returns
 v_{K-1} with v_K), so a scanned root starts from the Taylor series of its
 function's differential equation about the nearer bracket end (after
 Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007, used here for the
-start only), within about 2e-12 of its bracket.  A Legendre root starts
-from Tricomi's asymptotic form (Hale & Townsend, SIAM J. Sci. Comput. 35,
-2013),
+start only), within 3e-12 of its bracket (the node audit records the
+worst start per family).  A Legendre root starts from Tricomi's asymptotic
+form (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013),
 
     x_k ~ (1 - (1 - 1/K) / (8 K^2)) cos((k - 1/4) pi / (K + 1/2)),
 
@@ -26,9 +26,8 @@ bisection/Newton hybrid on np.longdouble points, through the same
 recurrences, takes one step (Hermite, Laguerre) or at most 3 (Legendre).
 With 80-bit long double (x86-64 Linux) every Hermite, Laguerre (alpha -0.5
 to 64.5) and Legendre node of up to 512 points is within 4 ulp of its root
-(the node audit, tools/node_audit.py, checks every one), where the double
-recurrence alone left the smallest Laguerre nodes up to 8,218 ulp off;
-where np.longdouble is plain double every step is a double step.  A cold
+(the node audit, tools/node_audit.py, checks every one); where
+np.longdouble is plain double every step is a double step.  A cold
 Hermite or Laguerre rule costs 2 recurrence sweeps, the scan and the
 long-double step, and a Legendre rule at most 3, and none for weights.
 Symmetric rules polish only their positive roots (and the root 0 of an odd
@@ -55,18 +54,13 @@ The Hermite and Laguerre weights carry the double rounding of the log
 offset that a rule's table starts each node's column from, so that it
 cancels from the sums over the table (:func:`_christoffel_arrays`).
 
-A rule keeps no table of its functions at the nodes.  Each operator that
-works at a rule's nodes (Gram matrices, projections, the closure driver and
-the Green's coefficient check) builds the n_max + 1 rows it reads through
-_node_table, the same bits as the first rows of any taller table.
-
 Nodes and weights depend only on (count, alpha), so each process memoizes
 them: _hermite_nodes and _laguerre_nodes are functools.lru_cache'd at the
-default maxsize of 128 entries, at most 1.5 MB of nodes, log weights and
-modified weights each.  They hand out read-only views, which numpy refuses
-to make writeable again, so no rule can alter the arrays later rules share.
-Every gauss_hermite and gauss_laguerre call still checks its arguments and
-assembles its own rule from them.
+default maxsize of 128 entries of nodes, weights, log weights and modified
+weights, at most 2 MB per memo.  They hand out read-only views, which numpy
+refuses to make writeable again, so no rule can alter the arrays later rules
+share.  Every gauss_hermite and gauss_laguerre call still checks its
+arguments and assembles its own rule from them.
 
 Bad arguments raise QuadratureError: a node count outside [1, MAX_NODES],
 a Laguerre alpha that is not finite or not above -1, and a Legendre
@@ -83,16 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrandError, QuadratureError
-from .special import (
-    _check_degree,
-    _hermite_engine,
-    _hermite_offset,
-    _laguerre_engine,
-    _laguerre_offset,
-    _legendre_pair,
-    hermite_function_table,
-    laguerre_function_table,
-)
+from .special import _hermite_engine, _hermite_offset, _laguerre_engine, _laguerre_offset, _legendre_pair
 
 __all__ = [
     "MAX_NODES",
@@ -173,13 +158,14 @@ def _check_count(count):
 # most.  A scan step spans at most half a root spacing (at the grid helpers),
 # a phase of at most pi/2, so a root about a quarter of a spacing from its
 # end leaves a truncation error of about (pi/4)^16 / 16!, 1e-15 of the
-# function's amplitude.  Every start measured was within 2.1e-12 of its
-# bracket (Hermite 7e-14; Laguerre at alpha -0.5 to 1000, of 2 to 512 nodes),
-# where the double scan values' rounding noise is the limit, inside the
-# long-double stop below.  The steps stop as the long-double ones do, at
+# function's amplitude.  Every start measured was within 3.0e-12 of its
+# bracket from its long-double root (Hermite 6.0e-14, at 482 nodes; Laguerre
+# 2.99e-12, at 502 nodes and alpha 4.5, over alpha -0.9 to 1000 and 2 to 512
+# nodes), where the double scan values' rounding noise is the limit, inside
+# the long-double stop below.  The steps stop as the long-double ones do, at
 # _STOP min(hi - lo, |x|), after 3 or 4 at most rules.  A Laguerre root
 # in the grid's first interval is started from the series about the origin
-# (:func:`_origin_series`); near alpha -1 it lies far below the chord point,
+# (:func:`_laguerre_series`); near alpha -1 it lies far below the chord point,
 # and Newton steps on a function even about the origin halve the distance
 # until they are close: up to 19 steps (1 + alpha = 1e-10).  Both cost a few
 # operations per root beside a sweep's K per root.
@@ -259,8 +245,8 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
 
 
 def _polish(fn_df, lo, hi, f_lo_sign, x):
-    """Roots in the brackets (lo, hi), ascending, from the start points x,
-    as np.longdouble, and log |df| at each.
+    """Roots in the brackets (lo, hi), in bracket order, from the start
+    points x, as np.longdouble, and log |df| at each.
 
     fn_df(x) returns (f, df, s): a function f and a slope df, both times
     exp(-s) per point, so the Newton step f/df and the sign of f are exact
@@ -316,8 +302,7 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
         raise QuadratureError(f"polish of {x.size} roots did not converge in 120 sweeps")
     with np.errstate(divide="ignore"):
         log_d = np.log(np.abs(df)) + s
-    order = np.argsort(x)
-    return x[order], log_d[order]
+    return x, log_d
 
 
 def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
@@ -406,7 +391,9 @@ def _laguerre_series(count, alpha, s, v, dv):
     - (4 kappa - 3 s^2) c_{n-1} + 3 s c_{n-2} + c_{n-3}.
     That divides by s, and near the origin c_1 = dv - alpha v / s cancels,
     so the first interval's roots take the series about s = 0 itself
-    (:func:`_bracket_by_scan`), :func:`_origin_series`."""
+    (:func:`_bracket_by_scan`), scaled to g(0) = v: in powers of s the
+    equation gives (n + 1)(n + 2 alpha + 1) c_{n+1} = c_{n-3} - k4 c_{n-1},
+    k4 = 4 kappa, with c_1 = 0 (g is even)."""
     k4 = 4 * count + 2 * alpha + 2
     a, b, d = k4 * s - s**3, k4 - 3.0 * s * s, 3.0 * s
     c = [0.0, 0.0, 0.0, v, dv - alpha * v / s]  # c_{-3} to c_1
@@ -416,19 +403,11 @@ def _laguerre_series(count, alpha, s, v, dv):
     c = np.array(c[3:])
     origin = s == 0.0
     if np.any(origin):
-        c[:, origin] = _origin_series(k4, alpha, v[origin])
+        g = [0.0, 0.0, 0.0, v[origin], np.zeros_like(v[origin])]  # c_{-3} to c_1
+        for n in range(1, _TAYLOR_TERMS - 1):
+            g.append((g[n] - k4 * g[n + 2]) / ((n + 1) * (n + 2 * alpha + 1)))
+        c[:, origin] = g[3:]
     return c
-
-
-def _origin_series(k4, alpha, v):
-    """Taylor coefficients about the origin of the g of
-    :func:`_laguerre_series`, scaled to g(0) = v: in powers of s the
-    equation gives (n + 1)(n + 2 alpha + 1) c_{n+1} = c_{n-3} - k4 c_{n-1},
-    k4 = 4 kappa, with c_1 = 0 (g is even)."""
-    c = [0.0, 0.0, 0.0, v, np.zeros_like(v)]  # c_{-3} to c_1
-    for n in range(1, _TAYLOR_TERMS - 1):
-        c.append((c[n] - k4 * c[n + 2]) / ((n + 1) * (n + 2 * alpha + 1)))
-    return c[3:]
 
 
 def _legendre_fn_df(count, x):
@@ -446,13 +425,14 @@ def _rule(family, nodes, weights, log_weights, modified_weights, **fields):
 
 
 def _christoffel_arrays(roots, log_weight, log_christoffel, offset):
-    """Read-only nodes, log weights and modified weights, rounded to double,
-    from the long-double roots, the log of the family weight function there
-    and the log of the Christoffel sum sum_{j<K} p_j^2 of the normalized
-    functions there, whose reciprocal is the modified weight.
+    """Read-only nodes, weights, log weights and modified weights, rounded to
+    double, from the long-double roots, the log of the family weight function
+    there and the log of the Christoffel sum sum_{j<K} p_j^2 of the
+    normalized functions there, whose reciprocal is the modified weight.  The
+    weights are exp of the log weights after those are rounded to double.
 
-    A double table at the nodes (:func:`_node_table`) starts each column
-    from offset(node), the log of its order-0 function, rounded to double:
+    A double table at the nodes, which the operator sectors build, starts each
+    column from offset(node), the log of its order-0 function, rounded to double:
     every entry of the column carries that rounding, up to 5e-14 relative at
     the outer nodes of a 512-point rule.  The Christoffel sum carries it
     too, so that it cancels from every sum_k w_k t_m(x_k) t_n(x_k) over the
@@ -462,28 +442,11 @@ def _christoffel_arrays(roots, log_weight, log_christoffel, offset):
     nodes = roots.astype(float)
     rounding = offset(nodes) - offset(nodes.astype(np.longdouble))
     log_christoffel = log_christoffel + 2.0 * rounding
-    arrays = (nodes, log_weight - log_christoffel, np.exp(-log_christoffel))
-    return tuple(_freeze(arr).view() for arr in arrays)
-
-
-def _christoffel_rule(family, arrays, alpha=None):
-    """Rule from the memoized :func:`_christoffel_arrays`."""
-    nodes, log_w, modified = arrays
+    log_w = (log_weight - log_christoffel).astype(float)
     # beyond the double range a weight rounds to 0 or inf; log_w stays exact
     with np.errstate(under="ignore", over="ignore"):
-        weights = np.exp(log_w)
-    return _rule(family, nodes, weights, log_w, modified, alpha=alpha)
-
-
-def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
-    """Normalized functions of orders 0..n_max at a Hermite or Laguerre
-    rule's nodes, shape (n_max + 1, count): exactly the rows asked for.
-    A table's rows do not depend on its size, so they are the same bits
-    as the first rows of any taller table."""
-    _check_degree(n_max)
-    if rule.family == GAUSS_HERMITE:
-        return hermite_function_table(n_max, rule.nodes)
-    return laguerre_function_table(n_max, rule.alpha, rule.nodes)
+        arrays = (nodes, np.exp(log_w), log_w, np.exp(-log_christoffel))
+    return tuple(_freeze(arr).view() for arr in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +456,8 @@ def _node_table(rule: QuadratureRule, n_max: int) -> np.ndarray:
 
 @functools.lru_cache
 def _hermite_nodes(count):
-    """Read-only roots of H_count, ascending, with their log weights and
-    modified weights (memoized per process)."""
+    """Read-only roots of H_count, ascending, with their weights, log weights
+    and modified weights (memoized per process)."""
     h_pair = functools.partial(_hermite_fn_df, count)
     brackets = _bracket_by_scan(h_pair, _hermite_grid(count), count // 2, functools.partial(_hermite_series, count))
     x, log_d = _symmetric_roots(h_pair, *brackets, count % 2)
@@ -508,7 +471,7 @@ def gauss_hermite(count: int) -> QuadratureRule:
     Nodes are the roots of H_count; weights follow the Christoffel
     identity through the normalized Hermite functions.
     """
-    return _christoffel_rule(GAUSS_HERMITE, _hermite_nodes(_check_count(count)))
+    return _rule(GAUSS_HERMITE, *_hermite_nodes(_check_count(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +481,8 @@ def gauss_hermite(count: int) -> QuadratureRule:
 
 @functools.lru_cache
 def _laguerre_nodes(count, alpha):
-    """Read-only roots of L_count^(alpha), ascending, with their log weights
-    and modified weights (memoized per process).
+    """Read-only roots of L_count^(alpha), ascending, with their weights, log
+    weights and modified weights (memoized per process).
 
     Root scanning and the Taylor start run in s = sqrt(rho), which spreads
     the near-origin clustering of Laguerre zeros into nearly uniform
@@ -547,7 +510,7 @@ def gauss_laguerre(count: int, alpha: float) -> QuadratureRule:
     alpha = float(alpha)
     if not -1.0 < alpha < math.inf:
         raise QuadratureError(f"Laguerre alpha must be finite and exceed -1, got {alpha}")
-    return _christoffel_rule(GAUSS_LAGUERRE, _laguerre_nodes(count, alpha), alpha=alpha)
+    return _rule(GAUSS_LAGUERRE, *_laguerre_nodes(count, alpha), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

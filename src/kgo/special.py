@@ -334,8 +334,11 @@ def legendre_p(ell: int, x):
 def _legendre_pair(ell, x):
     """(P_ell(x), P_{ell-1}(x)) from one upward recurrence, P_{-1} = 0."""
     pkm1, pk = np.zeros_like(x), np.ones_like(x)
-    for k in range(1, ell + 1):
-        pkm1, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pkm1) / k
+    # 2k - 1, k - 1 and k as scalars of x's dtype: the same bits as Python
+    # ints, and faster steps
+    j = np.arange(2 * ell, dtype=x.dtype)
+    for odd, km1, k in zip(j[1::2], j[:ell], j[1 : ell + 1]):
+        pkm1, pk = pk, (odd * x * pk - km1 * pkm1) / k
     return pk, pkm1
 
 

@@ -34,7 +34,7 @@ from kgo import (
     radial_gram,
 )
 from kgo import oscillator1d, oscillator3d, quadrature
-from kgo.quadrature import MAX_NODES, _node_table
+from kgo.quadrature import MAX_NODES
 from kgo.special import _hermite_offset, _laguerre_offset
 
 
@@ -480,6 +480,13 @@ MEMO_BUILDS = [
 ]
 
 
+def _full_table(rule):
+    """The table of every order below the count at a Hermite or Laguerre rule's nodes."""
+    if rule.family == quadrature.GAUSS_HERMITE:
+        return hermite_function_table(rule.count - 1, rule.nodes)
+    return laguerre_function_table(rule.count - 1, rule.alpha, rule.nodes)
+
+
 @pytest.mark.parametrize("build", MEMO_BUILDS)
 def test_memoized_nodes_give_the_cold_rule_bytes(build):
     """A rule on memoized nodes is the rule its cold build gives, byte for
@@ -489,7 +496,7 @@ def test_memoized_nodes_give_the_cold_rule_bytes(build):
     warm = build()
     for name in RULE_ARRAYS:
         assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
-    assert _node_table(warm, warm.count - 1).tobytes() == _node_table(cold, cold.count - 1).tobytes()
+    assert _full_table(warm).tobytes() == _full_table(cold).tobytes()
 
 
 @pytest.mark.parametrize("build", MEMO_BUILDS)
@@ -800,6 +807,62 @@ def test_laguerre_next_to_alpha_minus_one(monkeypatch, count, gap):
     assert max(_node_audit().series_ulp(count, alpha, nodes[:6])) <= bound
 
 
+# Largest distance of a Taylor start from its long-double root, over the
+# width of its scan bracket (the node audit's start_rel), on the sample below,
+# which holds the worst start of each family measured over 2-512 nodes:
+# Hermite 5.96e-14 (482 nodes), Laguerre 2.99e-12 (502 nodes, alpha 4.5).
+HERMITE_START_REL = 6e-14
+LAGUERRE_START_REL = 3e-12
+
+
+@needs_long_double
+@pytest.mark.parametrize(
+    "count, alpha",
+    [pytest.param(count, None, id=f"hermite-{count}") for count in (2, 3, 64, 145, 482)]
+    + [
+        pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
+        for count, alpha in (
+            (1, 4.5),
+            (2, 0.5),
+            (17, -0.9),
+            (56, 4.5),
+            (470, 64.5),
+            (479, -0.9),
+            (492, 10.5),
+            (498, 1000.0),
+            (502, 4.5),
+            (506, 0.5),
+            (507, -0.5),
+        )
+    ],
+)
+def test_taylor_starts_lie_next_to_their_roots(monkeypatch, count, alpha):
+    """Every start the scan hands the polish is within HERMITE_START_REL or
+    LAGUERRE_START_REL of its bracket from the long-double root, so the one
+    long-double step from it stops: the rounding noise of the double scan
+    values is the limit, far inside _STOP."""
+    scans = []
+    original = quadrature._bracket_by_scan
+
+    def recorded(*args):
+        scans.append(original(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(quadrature, "_bracket_by_scan", recorded)
+    _clear_node_memos()
+    if alpha is None:
+        family, bound, rule = "hermite", HERMITE_START_REL, gauss_hermite(count)
+        fn_df = functools.partial(quadrature._hermite_fn_df, count)
+    else:
+        family, bound, rule = "laguerre", LAGUERRE_START_REL, gauss_laguerre(count, alpha)
+        fn_df = functools.partial(quadrature._laguerre_fn_df, count, alpha)
+    audit = _node_audit()
+    root, _ = audit.reference(fn_df, rule.nodes)
+    [scan] = scans
+    assert scan[3].size == (count // 2 if alpha is None else count)
+    assert audit.start_rel(family, root, scan) <= bound
+
+
 @pytest.mark.parametrize("count,alpha", [(3, 0.0), (8, 2.5), (16, 0.5), (40, 2.5), (64, 10.5)])
 def test_laguerre_vs_scipy(count, alpha):
     rule = gauss_laguerre(count, alpha)
@@ -857,20 +920,21 @@ def test_integrate_rejects_nan():
     + [(count, alpha) for count in (1, 2, 64, 201, 512) for alpha in (-0.5, 0.5, 10.5, 64.5)],
 )
 def test_node_table_is_the_fresh_table(count, alpha):
-    """The rows an operator builds at a rule's nodes are the fresh table
-    there, bit for bit, and so are the 1D Gram's half-node columns."""
+    """The n_max + 1 rows an operator builds at a rule's nodes are the first
+    rows of the full table there, bit for bit, and so are the 1D Gram's
+    half-node columns."""
     rule = gauss_hermite(count) if alpha is None else gauss_laguerre(count, alpha)
+    full = _full_table(rule)
     for n in sorted({0, count // 2, count - 1}):
-        view = _node_table(rule, n)
         if alpha is None:
-            fresh = hermite_function_table(n, rule.nodes)
+            view = hermite_function_table(n, rule.nodes)
             half = rule.nodes >= 0.0
             folded = hermite_function_table(n, rule.nodes[half])
             assert view[:, half].tobytes() == folded.tobytes(), n
         else:
-            fresh = laguerre_function_table(n, alpha, rule.nodes)
+            view = laguerre_function_table(n, alpha, rule.nodes)
         assert view.shape == (n + 1, count)
-        assert view.tobytes() == fresh.tobytes(), n
+        assert view.tobytes() == full[: n + 1].tobytes(), n
 
 
 def _operator_results(params, hermite, laguerre):

@@ -361,7 +361,10 @@ def _rule_bytes(build):
     quadrature._hermite_nodes.cache_clear()
     quadrature._laguerre_nodes.cache_clear()
     rule = build()
-    table = quadrature._node_table(rule, rule.count - 1)
+    if rule.family == quadrature.GAUSS_HERMITE:
+        table = hermite_function_table(rule.count - 1, rule.nodes)
+    else:
+        table = laguerre_function_table(rule.count - 1, rule.alpha, rule.nodes)
     return [a.tobytes() for a in (rule.nodes, rule.weights, rule.log_weights, rule.modified_weights, table)]
 
 

@@ -15,7 +15,10 @@ the root of the power series of L_n^(alpha) in mpmath instead.
 
 Per family the record gives the node error in double ulp of the reference
 (max, mean and a histogram), the largest relative weight error and the
-engine calls per rule (the scan included).  The weight reference is the
+engine calls per rule (the scan included).  For Hermite and Laguerre it also
+gives the worst Taylor start that the scan hands the polish: the distance of
+the start from the reference root over the width of its scan bracket, in the
+scan's variable (start_rel).  The weight reference is the
 family's closed form at the reference root, taken from the slope that the
 last reference step evaluates: 2 (1 - x^2) / ((1 - x^2) P_K')^2 for
 Legendre weights, and for Hermite and Laguerre modified weights
@@ -111,10 +114,22 @@ def series_ulp(count, alpha, nodes):
     return out
 
 
+def start_rel(family, root, scan):
+    """Largest distance of a Hermite or Laguerre Taylor start from its
+    long-double root, over the width of its scan bracket, in the scan's
+    variable: x for Hermite, whose scan brackets the positive roots only,
+    and s = sqrt(rho) for Laguerre.  scan is what _bracket_by_scan returned:
+    the bracket ends, the signs at the lower ends and the starts."""
+    lo, hi, _, start = scan
+    root = root[root > 0] if family == "hermite" else np.sqrt(root)
+    return float(np.max(np.abs(start - root) / (hi - lo), initial=0.0))
+
+
 def counted_build(build):
-    """Build a rule cold; return it with the dtypes of its engine calls."""
-    calls = []
-    originals = {name: getattr(quadrature, name) for name in ENGINES}
+    """Build a rule cold; return it with the dtypes of its engine calls and
+    what each of its scans returned."""
+    calls, scans = [], []
+    originals = {name: getattr(quadrature, name) for name in (*ENGINES, "_bracket_by_scan")}
 
     def counting(original):
         def engine(*args):
@@ -123,32 +138,38 @@ def counted_build(build):
 
         return engine
 
+    def scan(*args):
+        scans.append(originals["_bracket_by_scan"](*args))
+        return scans[-1]
+
     quadrature._hermite_nodes.cache_clear()
     quadrature._laguerre_nodes.cache_clear()
     try:
-        for name, original in originals.items():
-            setattr(quadrature, name, counting(original))
+        for name in ENGINES:
+            setattr(quadrature, name, counting(originals[name]))
+        quadrature._bracket_by_scan = scan
         rule = build()
     finally:
         for name, original in originals.items():
             setattr(quadrature, name, original)
-    return rule, calls
+    return rule, calls, scans
 
 
 def audit_rule(family, count, alpha):
-    """Node ulp errors, the largest weight error and the engine calls of one rule."""
+    """Node ulp errors, the largest weight error, the engine calls and the
+    worst start (None for Legendre, which has no scan) of one rule."""
     if family == "hermite":
-        rule, calls = counted_build(lambda: quadrature.gauss_hermite(count))
+        rule, calls, scans = counted_build(lambda: quadrature.gauss_hermite(count))
         root, log_d = reference(functools.partial(quadrature._hermite_fn_df, count), rule.nodes)
         offset = special._hermite_offset
         log_christoffel = 2.0 * log_d - np.log(np.longdouble(2.0))
     elif family == "laguerre":
-        rule, calls = counted_build(lambda: quadrature.gauss_laguerre(count, alpha))
+        rule, calls, scans = counted_build(lambda: quadrature.gauss_laguerre(count, alpha))
         root, log_d = reference(functools.partial(quadrature._laguerre_fn_df, count, alpha), rule.nodes)
         offset = lambda rho: special._laguerre_offset(alpha, rho)  # noqa: E731
         log_christoffel = 2.0 * log_d - np.log(root)
     else:
-        rule, calls = counted_build(lambda: quadrature.gauss_legendre(count, -1.0, 1.0))
+        rule, calls, scans = counted_build(lambda: quadrature.gauss_legendre(count, -1.0, 1.0))
         root, log_d = reference(functools.partial(quadrature._legendre_fn_df, count), rule.nodes)
     ulp = np.abs(rule.nodes - root) / np.spacing(np.abs(root.astype(float)))
     if family == "laguerre":
@@ -159,11 +180,12 @@ def audit_rule(family, count, alpha):
         rounding = offset(rule.nodes) - offset(rule.nodes.astype(np.longdouble))
         got, want = rule.modified_weights, np.exp(-(log_christoffel + 2.0 * rounding))
     weight_rel = float(np.max(np.abs(got - want) / want))
-    return ulp.astype(float), weight_rel, calls
+    start = max((start_rel(family, root, scan) for scan in scans), default=None)
+    return ulp.astype(float), weight_rel, calls, start
 
 
 def summarize(rules):
-    """The record of one family from (ulp, weight_rel, calls) per rule."""
+    """The record of one family from (ulp, weight_rel, calls, start_rel) per rule."""
     ulp = np.concatenate([r[0] for r in rules])
     edges = (0.0, *ULP_BINS, math.inf)
     histogram = {
@@ -172,7 +194,8 @@ def summarize(rules):
     }
     calls = [len(r[2]) for r in rules]
     long_double = [sum(r[2]) for r in rules]
-    return {
+    starts = [r[3] for r in rules if r[3] is not None]
+    record = {
         "rules": len(rules),
         "nodes": int(ulp.size),
         "node_ulp_max": round(float(ulp.max()), 4),
@@ -185,6 +208,9 @@ def summarize(rules):
         "engine_calls_histogram": {str(k): v for k, v in sorted(Counter(calls).items())},
         "long_double_calls": {str(k): v for k, v in sorted(Counter(long_double).items())},
     }
+    if starts:
+        record["start_rel_max"] = float(f"{max(starts):.3e}")
+    return record
 
 
 def main(argv=None):
@@ -213,6 +239,7 @@ def main(argv=None):
             f"{name}: node ulp max {summary['node_ulp_max']} mean {summary['node_ulp_mean']}, "
             f"weight rel max {summary['weight_rel_max']}, engine calls mean {summary['engine_calls_mean']} "
             f"max {summary['engine_calls_max']}, long-double {summary['long_double_calls']}"
+            + (f", start rel max {summary['start_rel_max']}" if "start_rel_max" in summary else "")
         )
     if args.out:
         with open(args.out, "w") as out:
