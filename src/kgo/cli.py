@@ -225,14 +225,14 @@ def cmd_closure(args) -> int:
         # the grid collapses to 0, where lam * 0 is nan
         raise OverflowError("lambda = sqrt(mass * frequency) exceeds the double range")
     grid = np.linspace(lo, 6.0 / lam, 101)
-    # One node table and one grid table at the top truncation, checked once;
-    # each rung projects and reconstructs with their first n + 1 rows (a
-    # table's rows do not depend on its size), in the shapes that
-    # project_*/reconstruct_* use, so every rung rounds as they would.
+    # One table at the nodes and the grid, at the top truncation, checked
+    # once; each rung projects and reconstructs with the first n + 1 rows of
+    # its node and grid blocks (a table's rows do not depend on its size),
+    # in the shapes that project_*/reconstruct_* use, so every rung rounds
+    # as they would.
     top = max(truncations)
     sector.require(rule, top + 1)
-    nodes, table, scale = sector.nodes(rule, top)
-    grid_table = sector.table(top, grid)
+    nodes, table, scale, grid_table = sector.nodes(rule, top, grid)
     weights = rule.modified_weights / scale
     # A tiny mass stretches grid and nodes until samples or their products
     # overflow; _coefficients and _emit refuse what is not finite (exit 3).

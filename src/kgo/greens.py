@@ -116,11 +116,11 @@ def coefficient_deviation_radial(
 
 
 def _coefficient_deviation(sector, query: GreensQuery, x2: float, rule: QuadratureRule, k_max: int) -> float:
+    _check_degree(k_max, "k_max")
     k_max = min(k_max, query.truncation)
     denom = _denominators(sector.params, query, sector.ell)
     sector.require(rule, k_max + 1)
-    points, table, scale = sector.nodes(rule, query.truncation)
-    at_x2 = sector.table(query.truncation, x2)
+    points, table, scale, at_x2 = sector.nodes(rule, query.truncation, x2)
     greens = _spectral_sum(scale * table, at_x2, denom)
     coeffs = _coefficients(table[: k_max + 1], rule.modified_weights / scale, greens, points, sector.name)
     return float(np.max(np.abs(coeffs - at_x2[: k_max + 1, 0] / denom[: k_max + 1])))

@@ -164,11 +164,14 @@ def eigenfunction_1d(params: OscillatorParams, n: int, x):
     Accepts a scalar or an ndarray.  Beyond |lambda x| ~ 38 the value
     underflows to 0 (the Gaussian factor is below the double range).
     """
-    lam = params.lam
-    # lambda x may overflow to inf, where h_n is 0
+    return math.sqrt(params.lam) * hermite_function(n, _line_argument(params, x))
+
+
+def _line_argument(params: OscillatorParams, x):
+    """xi = lambda x, the argument of h_n in psi_n(x) = sqrt(lambda) h_n(xi).
+    A huge finite x overflows xi to inf, where h_n is 0."""
     with np.errstate(over="ignore"):
-        xi = np.asarray(x, dtype=float) * lam
-    return math.sqrt(lam) * hermite_function(n, xi)
+        return params.lam * np.asarray(x, dtype=float)
 
 
 def fv_components(params: OscillatorParams, mode: Mode1D, x):
@@ -203,7 +206,11 @@ class _Line:
     works at a rule's nodes (Gram matrices, projections, the closure driver
     and the Green's coefficient check) builds the n_max + 1 rows it reads
     through its sector's ``nodes``, the same bits as the first rows of any
-    taller table."""
+    taller table.  ``nodes`` builds the table at any further points in the
+    same engine call: the closure driver's grid and the Green's check's x'
+    join the nodes, and a projection passes none.  A column that no rescale
+    touches keeps its bits in such a joint call; a rescaled one can move at
+    the ulp level, since the points of a call set its rescale schedule."""
 
     params: OscillatorParams
     ell = None
@@ -214,17 +221,17 @@ class _Line:
             raise QuadratureError(f"need a Gauss-Hermite rule, got {rule.family}")
         _require_count(rule, min_count)
 
-    def nodes(self, rule: QuadratureRule, n_max: int):
-        """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, and the
-        factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k)."""
+    def nodes(self, rule: QuadratureRule, n_max: int, x):
+        """Nodes x_k = xi_k / lambda, the table h_n(xi_k) for n <= n_max, the
+        factor s = sqrt(lambda): psi_n(x_k) = s h_n(xi_k), <psi_n, f> = sum_k (w_k / s) h_n(xi_k) f(x_k),
+        and ``table(n_max, x)`` at the further points x (may be empty), all from one engine call."""
         lam = self.params.lam
-        return rule.nodes / lam, hermite_function_table(n_max, rule.nodes), math.sqrt(lam)
+        points, scale = rule.nodes / lam, math.sqrt(lam)
+        table = hermite_function_table(n_max, np.concatenate([rule.nodes, np.ravel(_line_argument(self.params, x))]))
+        return points, np.ascontiguousarray(table[:, : rule.count]), scale, scale * table[:, rule.count :]
 
     def table(self, n_max: int, x) -> np.ndarray:
-        lam = self.params.lam
-        with np.errstate(over="ignore"):
-            xi = lam * np.asarray(x, dtype=float)
-        return math.sqrt(lam) * hermite_function_table(n_max, xi)
+        return math.sqrt(self.params.lam) * hermite_function_table(n_max, _line_argument(self.params, x))
 
 
 def _gram(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -258,7 +265,7 @@ def _pair_sum(sector, n_max: int, x: float, x2: float, denom=1.0) -> float:
 def _project(sector, N: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Coefficients of f on a sector's functions t_0..t_N by quadrature."""
     sector.require(rule, N + 1)
-    points, table, scale = sector.nodes(rule, N)
+    points, table, scale, _ = sector.nodes(rule, N, ())
     values = np.array([float(f(p)) for p in points])
     return SpectralProjection(
         coefficients=_coefficients(table, rule.modified_weights / scale, values, points, sector.name),

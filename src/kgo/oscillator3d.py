@@ -185,7 +185,8 @@ class _Radial:
     """The radial sector of one ell: R_n(r) = sqrt(2 lambda) rho^(1/4) lf_n(rho),
     rho = lambda^2 r^2, on Gauss-Laguerre rules of alpha = ell + 1/2 in rho.
     Like ``oscillator1d._Line`` it builds the table at a rule's nodes itself,
-    exactly the n_max + 1 rows an operator reads."""
+    exactly the n_max + 1 rows an operator reads, with the table at any
+    further points in the same engine call."""
 
     params: OscillatorParams
     ell: int
@@ -205,13 +206,16 @@ class _Radial:
             )
         _require_count(rule, min_count)
 
-    def nodes(self, rule: QuadratureRule, n_max: int):
-        """Nodes r_k = sqrt(rho_k) / lambda, the table lf_n(rho_k) for n <= n_max, and
+    def nodes(self, rule: QuadratureRule, n_max: int, r):
+        """Nodes r_k = sqrt(rho_k) / lambda, the table lf_n(rho_k) for n <= n_max,
         s_k = sqrt(2 lambda) rho_k^(1/4): R_n(r_k) = s_k lf_n(rho_k) and, as
-        dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k)."""
+        dr = drho / (2 lambda sqrt(rho)), int R_n f dr = sum_k (w_k / s_k) lf_n(rho_k) f(r_k),
+        and ``table(n_max, r)`` at the further radii r (may be empty), all from one engine call."""
         lam = self.params.lam
-        table = laguerre_function_table(n_max, self.ell + 0.5, rule.nodes)
-        return np.sqrt(rule.nodes) / lam, table, math.sqrt(2.0 * lam) * rule.nodes**0.25
+        points, scale = np.sqrt(rule.nodes) / lam, math.sqrt(2.0 * lam) * rule.nodes**0.25
+        rho, factor = _radial_argument(self.params, np.ravel(r))
+        table = laguerre_function_table(n_max, self.ell + 0.5, np.concatenate([rule.nodes, rho]))
+        return points, np.ascontiguousarray(table[:, : rule.count]), scale, factor * table[:, rule.count :]
 
     def table(self, n_max: int, r) -> np.ndarray:
         rho, factor = _radial_argument(self.params, np.ravel(r))

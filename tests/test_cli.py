@@ -413,6 +413,21 @@ def test_greens_pole_is_dedicated_exit_code(capsys):
     assert "n=3" in err
 
 
+@pytest.mark.parametrize("quad_count", ["600", "5"], ids=["unbuildable", "undersized"])
+@pytest.mark.parametrize(
+    "sector, where", [([], "n=3"), (["--dimension", "radial", "--ell", "1"], "(n_r=1, ell=1)")], ids=["1d", "radial"]
+)
+def test_greens_pole_wins_over_a_bad_rule(capsys, quad_count, sector, where):
+    """A probe inside the pole guard is reported before the coefficient
+    check's rule is built or sized: the Green's value refuses it first."""
+    code, out, err = run_cli(
+        capsys, "greens", *sector, "--energy-sq", "7.0000001", "--x1", "0.2", "--x2", "0.3",
+        "--pole-guard", "0.01", "--quad-count", quad_count,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("kgo: pole proximity: ") and where in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------

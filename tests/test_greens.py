@@ -87,6 +87,20 @@ def test_coefficient_identity_radial(unit_params):
     assert coefficient_deviation_radial(unit_params, 2, query, 0.7, rule, 10) <= 1e-9
 
 
+@pytest.mark.parametrize("k_max", [-3, -1, 2.5])
+def test_coefficient_deviation_checks_k_max(unit_params, gh64, k_max):
+    """k_max is an order: a negative or fractional one is refused by name in
+    both sectors, not turned into a silent slice or a numpy error."""
+    query = GreensQuery(7.3, 25, 1e-6)
+    message = f"k_max must be a non-negative integer, got {k_max!r}"
+    with pytest.raises(ValueError) as info:
+        coefficient_deviation_1d(unit_params, query, 0.3, gh64, k_max)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        coefficient_deviation_radial(unit_params, 2, query, 0.3, gauss_laguerre(41, 2.5), k_max)
+    assert str(info.value) == message
+
+
 def test_pole_guard_names_level(unit_params):
     # ode-derived: E_n^2 = 1 + 2n, so 7.05 sits 0.05 from n = 3
     with pytest.raises(PoleProximityError) as info:

@@ -13,10 +13,13 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgo import (
     GreensQuery,
     IntegrandError,
+    OscillatorParams,
     QuadratureError,
     coefficient_deviation_1d,
     coefficient_deviation_radial,
@@ -33,7 +36,7 @@ from kgo import (
     project_radial,
     radial_gram,
 )
-from kgo import oscillator1d, oscillator3d, quadrature
+from kgo import cli, oscillator1d, oscillator3d, quadrature
 from kgo.quadrature import MAX_NODES
 from kgo.special import _hermite_offset, _laguerre_offset
 
@@ -964,18 +967,18 @@ def test_operators_match_a_rule_without_its_table(unit_params):
     assert _operator_results(unit_params, bare_h, bare_l) == _operator_results(unit_params, hermite, laguerre)
 
 
-def test_operators_build_only_the_rows_they_read(monkeypatch, unit_params):
+def test_operators_build_only_the_rows_they_read(monkeypatch, capsys, unit_params):
     """Building a rule sweeps no table at its nodes, and each operator at a
-    rule's nodes builds exactly the n_max + 1 rows it reads, once (the 1D
-    Gram at the nonnegative nodes only)."""
+    rule's nodes builds exactly the n_max + 1 rows it reads in one table
+    call (the 1D Gram at the nonnegative nodes only): the Green's
+    coefficient check takes x' and the closure driver its 101-point grid
+    in the same call as the nodes."""
     _clear_node_memos()
     at_nodes = []
 
     def counted(fn):
         def wrapper(n_max, *args):
-            points = np.ravel(args[-1])
-            if points.size > 1:
-                at_nodes.append((fn.__name__, n_max + 1, points.size))
+            at_nodes.append((fn.__name__, n_max + 1, np.size(args[-1])))
             return fn(n_max, *args)
 
         return wrapper
@@ -994,14 +997,87 @@ def test_operators_build_only_the_rows_they_read(monkeypatch, unit_params):
         (lambda: project_radial(unit_params, 2, 12, f_radial, laguerre), ("laguerre_function_table", 13, 20)),
         (
             lambda: coefficient_deviation_1d(unit_params, GreensQuery(2.0, 30, 0.1), 0.3, hermite, 10),
-            ("hermite_function_table", 31, 24),
+            ("hermite_function_table", 31, 25),
         ),
         (
             lambda: coefficient_deviation_radial(unit_params, 2, GreensQuery(2.0, 15, 0.1), 0.3, laguerre, 10),
-            ("laguerre_function_table", 16, 20),
+            ("laguerre_function_table", 16, 21),
+        ),
+        (
+            lambda: cli.main(["closure", "--truncations", "4,12", "--quad-count", "24"]),
+            ("hermite_function_table", 13, 24 + 101),
+        ),
+        (
+            lambda: cli.main(
+                ["closure", "--dimension", "radial", "--ell", "2", "--test-function", "radial-gaussian",
+                 "--truncations", "3,9", "--quad-count", "20"]
+            ),
+            ("laguerre_function_table", 10, 20 + 101),
         ),
     ]
     for run, built in cases:
         at_nodes.clear()
         run()
         assert at_nodes == [built]
+    assert "sup_error" in capsys.readouterr().out
+
+
+def _assert_joint_table_bits(sector, rule, n_max, x, table_at):
+    """``sector.nodes(rule, n_max, x)`` gives the nodes, scale and node table of
+    ``sector.nodes(rule, n_max, ())``, the node table being the engine's table
+    at the rule's nodes alone, and ``sector.table(n_max, x)``, bit for bit."""
+    points, table, scale, at_x = sector.nodes(rule, n_max, x)
+    alone_points, alone_table, alone_scale, _ = sector.nodes(rule, n_max, ())
+    node_table = table_at(n_max, rule.nodes)
+    pairs = [
+        (points, alone_points),
+        (scale, alone_scale),
+        (alone_table, node_table),
+        (table, node_table),
+        (at_x, sector.table(n_max, x)),
+    ]
+    for got, want in pairs:
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# orders n_max = order * (count - 1), and points x, r = u / lambda with u in
+# [-6, 6] and [0, 6]: the closure grid's span, and every Green's probe the
+# bench draws
+_ORDERS = st.floats(0.0, 1.0)
+_MASSES = st.floats(0.25, 4.0)
+_UNITS = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=101)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(count=st.integers(1, 239), order=_ORDERS, mass=_MASSES, u=_UNITS)
+@example(count=239, order=1.0, mass=1.0, u=[-6.0, 0.0, 6.0])
+@example(count=1, order=1.0, mass=0.25, u=[6.0])
+def test_line_nodes_with_points_keep_both_tables(count, order, mass, u):
+    """One Hermite table at a rule's nodes and points |x| <= 6 / lambda gives
+    the bits of the two separate tables (no column there is rescaled)."""
+    n_max = round(order * (count - 1))
+    params = OscillatorParams(mass, 1.0)
+    _assert_joint_table_bits(
+        oscillator1d._Line(params), gauss_hermite(count), n_max, np.array(u) / params.lam, hermite_function_table
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(count=st.integers(1, 144), order=_ORDERS, ell=st.integers(0, 64), mass=_MASSES, u=_UNITS)
+@example(count=144, order=1.0, ell=64, mass=1.0, u=[0.0, 6.0])
+@example(count=144, order=1.0, ell=0, mass=4.0, u=[0.0, 1e-3, 6.0])
+@example(count=1, order=0.0, ell=64, mass=0.25, u=[0.0])
+def test_radial_nodes_with_points_keep_both_tables(count, order, ell, mass, u):
+    """The radial form: Laguerre tables at alpha = ell + 1/2, radii in
+    [0, 6 / lambda], the origin included."""
+    n_max = round(order * (count - 1))
+    params = OscillatorParams(mass, 1.0)
+    r = np.abs(np.array(u)) / params.lam
+    _assert_joint_table_bits(
+        oscillator3d._Radial(params, ell),
+        gauss_laguerre(count, ell + 0.5),
+        n_max,
+        r,
+        lambda n, rho: laguerre_function_table(n, ell + 0.5, rho),
+    )
