@@ -164,6 +164,7 @@ def eigenfunction_1d(params: OscillatorParams, n: int, x):
     Accepts a scalar or an ndarray.  Beyond |lambda x| ~ 38 the value
     underflows to 0 (the Gaussian factor is below the double range).
     """
+    _check_degree(n, "n")
     return math.sqrt(params.lam) * hermite_function(n, _line_argument(params, x))
 
 
@@ -228,7 +229,7 @@ class _Line:
         lam = self.params.lam
         points, scale = rule.nodes / lam, math.sqrt(lam)
         table = hermite_function_table(n_max, np.concatenate([rule.nodes, np.ravel(_line_argument(self.params, x))]))
-        return points, np.ascontiguousarray(table[:, : rule.count]), scale, scale * table[:, rule.count :]
+        return points, table[:, : rule.count], scale, scale * table[:, rule.count :]
 
     def table(self, n_max: int, x) -> np.ndarray:
         return math.sqrt(self.params.lam) * hermite_function_table(n_max, _line_argument(self.params, x))
@@ -290,6 +291,7 @@ def gram_matrix_1d(params: OscillatorParams, n_max: int, rule: QuadratureRule) -
     count >= n_max + 1 is exact up to rounding and the result must be the
     identity matrix.  Entries with i + j odd are exactly zero.
     """
+    _check_degree(n_max, "n_max")
     _Line(params).require(rule, n_max + 1)
     # h_i h_j has parity (-1)^(i+j) and the rule is symmetric: fold it onto
     # xi >= 0 (weights doubled, xi = 0 counted once) and zero the odd entries
@@ -310,6 +312,7 @@ def closure_kernel_1d(params: OscillatorParams, N: int, x: float, x2: float) -> 
 def project_1d(params: OscillatorParams, N: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Coefficients c_n = <psi_n, f> for n = 0..N by Gauss-Hermite
     quadrature in xi = lambda x."""
+    _check_degree(N, "N")
     return _project(_Line(params), N, f, rule)
 
 

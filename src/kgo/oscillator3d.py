@@ -215,7 +215,7 @@ class _Radial:
         points, scale = np.sqrt(rule.nodes) / lam, math.sqrt(2.0 * lam) * rule.nodes**0.25
         rho, factor = _radial_argument(self.params, np.ravel(r))
         table = laguerre_function_table(n_max, self.ell + 0.5, np.concatenate([rule.nodes, rho]))
-        return points, np.ascontiguousarray(table[:, : rule.count]), scale, factor * table[:, rule.count :]
+        return points, table[:, : rule.count], scale, factor * table[:, rule.count :]
 
     def table(self, n_max: int, r) -> np.ndarray:
         rho, factor = _radial_argument(self.params, np.ravel(r))
@@ -287,6 +287,7 @@ def angular_kernel(ell_max: int, a: AngularPoint, b: AngularPoint) -> float:
     """Truncated spherical-harmonic completeness kernel
     sum_{ell<=ell_max} sum_m Y_ell^m(a) conj(Y_ell^m(b)) by the direct
     m-sum (the m and -m terms pair into conjugates, so the sum is real)."""
+    _check_degree(ell_max, "ell_max")
     ya = sph_harm_all(ell_max, a)
     yb = sph_harm_all(ell_max, b)
     terms = np.concatenate([ya[ell] * np.conj(yb[ell]) for ell in range(ell_max + 1)])
@@ -297,6 +298,7 @@ def angular_kernel_addition(ell_max: int, a: AngularPoint, b: AngularPoint) -> f
     """Same kernel through the Legendre addition theorem:
     sum_ell (2 ell + 1)/(4 pi) P_ell(cos gamma) with gamma the angle
     between the two directions."""
+    _check_degree(ell_max, "ell_max")
     cos_gamma = math.cos(a.theta) * math.cos(b.theta) + math.sin(a.theta) * math.sin(
         b.theta
     ) * math.cos(a.phi - b.phi)

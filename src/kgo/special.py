@@ -26,15 +26,16 @@ bound spends, and a function that forms the steps' arrays a_k from those
 arrays, a block of steps at a time into one buffer that the loop reuses.
 The engines run in the dtype of their points, so long-double points get
 long-double coefficients and values; the public evaluators pass doubles.
-A table receives each order's raw mantissa as the recurrence runs.  The
-rows between two rescales share one offset, so each such block is turned
-into values in place, once, at the rescale that ends it (or at the end), a
-bounded chunk of rows at a time.  The raw polynomials share one loop too,
-``_raw_recurrence``: each family supplies only the coefficients of its
-plain recurrence, and the loop renormalizes the pair by a power of two at
-every step and counts the exponent apart; ``*_poly`` returns the float
-(OverflowError outside the double range), ``*_poly_scaled`` a
-``PolyValue`` mantissa/log pair there.
+A table receives each order's raw mantissa as the recurrence runs, and
+each row is turned into a value in place, once, with the offset it shares:
+at the next rescale or at the end of its block of steps, whichever comes
+first.  So one bound, ``_MATERIALIZE_CELLS``, holds both the coefficient
+buffer and the temporary that turns rows into values.  The raw
+polynomials share one loop too, ``_raw_recurrence``: each family supplies
+only the coefficients of its plain recurrence, and the loop renormalizes
+the pair by a power of two at every step and counts the exponent apart;
+``*_poly`` returns the float (OverflowError outside the double range),
+``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ __all__ = [
 ]
 
 # Mantissa pairs are renormalized into [1/_RESCALE, _RESCALE] as recurrences
-# run; a power of two, so a rescale of a normal double is exact.
-_RESCALE = 2.0**930
-_LOG_RESCALE = 930 * math.log(2.0)
+# run; a power of two, 2**_RESCALE_EXP, so a rescale of a normal double is
+# exact.
+_RESCALE_EXP = 930
+_RESCALE = 2.0**_RESCALE_EXP
+_LOG_RESCALE = _RESCALE_EXP * math.log(2.0)
 # Log growth or shrinkage a renormalized pair can take before it could leave
 # the normal double range: about 63.7 (shrinking, to the smallest normal
 # double) against 65.2 (growing, to the largest).
@@ -79,8 +82,9 @@ _HEADROOM = min(
 # range, and one step from a mantissa near _RESCALE could overflow.
 _FAR_ARG = 1e28
 
-# Values per chunk in which _materialize turns table rows into values, so
-# its one temporary stays at 256 KB whatever the size of the table.
+# Values per block of recurrence coefficients, and so per call of
+# _materialize: the coefficient buffer and the one temporary of each
+# _materialize call stay at 256 KB whatever the size of the table.
 _MATERIALIZE_CELLS = 2**15
 
 
@@ -170,7 +174,7 @@ def hermite_function(n: int, xi):
     _check_degree(n)
     arr = _check_not_nan(np.asarray(xi, dtype=float))
     v, _, s = _hermite_engine(n, arr.ravel())
-    _materialize(v[np.newaxis], s)
+    _materialize(v, s)
     out = v.reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
@@ -249,7 +253,7 @@ def laguerre_function(n: int, alpha: float, rho):
     """
     rho, origin, at_origin = _laguerre_points(n, alpha, rho)
     v, _, s = _laguerre_engine(n, alpha, rho.ravel())
-    _materialize(v[np.newaxis], s)
+    _materialize(v, s)
     v[origin.ravel()] = at_origin
     out = v.reshape(rho.shape)
     return float(out) if rho.ndim == 0 else out
@@ -497,16 +501,21 @@ def _recurrence(s, fill, b, a_max, table=None):
     the rows of ``out`` and |a_k| <= a_max[k], the bound the growth budget
     spends.  The a_k are made a block of rows at a time in one buffer, in
     the dtype of b, that every block reuses: at most _MATERIALIZE_CELLS
-    values, or one row where the points alone are more.  Returns and fills
-    ``table`` as :func:`_hermite_engine` documents."""
+    values, or one row where the points alone are more.  A table receives
+    each order's raw mantissa as the loop runs, and its rows become values
+    in place, with the offset they share, at each rescale and at the end of
+    each block, so no call of :func:`_materialize` covers more rows than one
+    block and row 0.  Returns and fills ``table`` as :func:`_hermite_engine`
+    documents."""
     vk, vkm1 = np.ones_like(s), np.zeros_like(s)
     if table is not None:
         table[0] = vk
     rescale = _rescale_steps(a_max, b)
     rows = max(1, _MATERIALIZE_CELLS // max(1, s.size))
     block = np.empty((min(rows, b.size), s.size), dtype=b.dtype)
-    start = 0  # first row of the table block that shares the offset s
-    for k0 in range(0, b.size, rows):
+    start = 0  # first table row still holding a raw mantissa
+    # one pass at least, so that an n_max = 0 table's row 0 becomes a value
+    for k0 in range(0, max(b.size, 1), rows):
         k1 = min(k0 + rows, b.size)
         fill(k0, k1, block[: k1 - k0])
         # tolist gives Python floats for doubles, np.longdouble for long doubles
@@ -519,8 +528,9 @@ def _recurrence(s, fill, b, a_max, table=None):
             vk, vkm1 = a * vk - bk * vkm1, vk
             if table is not None:
                 table[k + 1] = vk
-    if table is not None:
-        _materialize(table[start:], s)
+        if table is not None:
+            _materialize(table[start : k1 + 1], s)
+            start = k1 + 1
     return _renormalize(vk, vkm1, s)
 
 
@@ -529,40 +539,32 @@ def _renormalize(vk, vkm1, s):
 
     The recurrence loop calls this only when its growth budget runs out and
     once before returning; a pair then lies within one factor _RESCALE of that
-    range, and the power-of-two rescale changes no mantissa bit (unless it
-    takes the smaller value of a pair below the normal range).
+    range.  One shift per point, +1 above it, -1 below it and 0 otherwise
+    (a zero pair included), scales the pair by the factor
+    2^(-shift _RESCALE_EXP) that np.ldexp forms and adds shift * _LOG_RESCALE
+    to its offset.  The power-of-two rescale changes no mantissa bit (unless
+    it takes the smaller value of a pair below the normal range, where it
+    rounds as a division by _RESCALE does).
     """
     mag = np.maximum(np.abs(vk), np.abs(vkm1))
-    big = mag > _RESCALE
-    if big.any():
-        vk = np.where(big, vk / _RESCALE, vk)
-        vkm1 = np.where(big, vkm1 / _RESCALE, vkm1)
-        s = np.where(big, s + _LOG_RESCALE, s)
-    small = (mag < 1.0 / _RESCALE) & (mag > 0.0)
-    if small.any():
-        vk = np.where(small, vk * _RESCALE, vk)
-        vkm1 = np.where(small, vkm1 * _RESCALE, vkm1)
-        s = np.where(small, s - _LOG_RESCALE, s)
-    return vk, vkm1, s
+    shift = (mag > _RESCALE).astype(int) - ((mag < 1.0 / _RESCALE) & (mag > 0.0))
+    if not shift.any():  # most calls: every pair is still in range
+        return vk, vkm1, s
+    scale = np.ldexp(1.0, -_RESCALE_EXP * shift)
+    return vk * scale, vkm1 * scale, s + shift * _LOG_RESCALE
 
 
-def _materialize(rows, s):
-    """Turn mantissa rows that share the per-point log offset s into values
-    in place: v exp(s) computed as sign(v) exp(s + log|v|), safe for extreme
-    offsets; 0 where v is 0 (np.sign keeps that 0 positive for a -0.0
-    mantissa, where np.copysign would not).
-
-    The rows go through in chunks of about _MATERIALIZE_CELLS values, so
-    the one temporary, reused by every chunk, stays small next to a table.
-    """
-    step = max(1, _MATERIALIZE_CELLS // max(1, rows.shape[1]))
-    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]), dtype=rows.dtype)
+def _materialize(v, s):
+    """Turn raw mantissas v (a row, or rows) that share the per-point log
+    offset s into values in place: v exp(s) computed as
+    sign(v) exp(s + log|v|), safe for extreme offsets; 0 where v is 0
+    (np.sign keeps that 0 positive for a -0.0 mantissa, where np.copysign
+    would not).  Its one temporary has the size of v, which the recurrence
+    keeps within one block of steps and row 0."""
     with np.errstate(divide="ignore"):
-        for lo in range(0, rows.shape[0], step):
-            v = rows[lo : lo + step]
-            e = np.abs(v, out=buf[: len(v)])
-            np.log(e, out=e)
-            np.add(s, e, out=e)
-            np.exp(e, out=e)
-            np.sign(v, out=v)
-            v *= e
+        e = np.abs(v)
+        np.log(e, out=e)
+        e += s
+        np.exp(e, out=e)
+        np.sign(v, out=v)
+        v *= e

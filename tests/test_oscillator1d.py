@@ -147,11 +147,15 @@ def test_branch_accepts_its_value_string(unit_params):
 def test_orders_are_refused_by_name(unit_params, bad):
     """A level or truncation that is not a non-negative integer raises
     ValueError naming the argument."""
+    rule = gauss_hermite(8)
     calls = [
         ("n", lambda: Mode1D(n=bad, branch=Branch.POSITIVE, energy=1.0)),
         ("n", lambda: energy_1d(unit_params, bad, Branch.POSITIVE)),
         ("n", lambda: nonrel_energy(unit_params, bad)),
         ("N", lambda: closure_kernel_1d(unit_params, bad, 0.1, 0.2)),
+        ("n_max", lambda: gram_matrix_1d(unit_params, bad, rule)),
+        ("N", lambda: project_1d(unit_params, bad, math.cos, rule)),
+        ("n", lambda: eigenfunction_1d(unit_params, bad, 0.3)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError) as info:

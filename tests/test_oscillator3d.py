@@ -145,14 +145,17 @@ def _refusal(call):
 
 @pytest.mark.parametrize("bad", [-1, 2.5])
 def test_quantum_numbers_are_refused_by_name(unit_params, bad):
-    """A shell or radial quantum number that is not a non-negative integer
-    raises ValueError naming the argument."""
+    """A shell or radial quantum number, or an angular truncation, that is
+    not a non-negative integer raises ValueError naming the argument."""
+    a, b = AngularPoint(0.3, 1.0), AngularPoint(1.2, 2.0)
     calls = [
         ("n_r", lambda: radial_mode(bad, 2)),
         ("ell", lambda: radial_mode(1, bad)),
         ("N", lambda: energy_3d(unit_params, bad, Branch.POSITIVE)),
         ("N", lambda: degeneracy(bad)),
         ("N", lambda: shell_modes(bad)),
+        ("ell_max", lambda: angular_kernel(bad, a, b)),
+        ("ell_max", lambda: angular_kernel_addition(bad, a, b)),
     ]
     for name, call in calls:
         assert _refusal(call) == f"{name} must be a non-negative integer, got {bad!r}"

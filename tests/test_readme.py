@@ -1,10 +1,13 @@
-"""The README's Library quickstart runs as printed and says what it claims."""
+"""The README's Library quickstart runs as printed and says what it claims,
+and the internals the README names still exist."""
 
+import ast
 import math
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _quickstart_source():
@@ -20,3 +23,27 @@ def test_library_quickstart_runs_and_prints_its_claims(capsys):
     assert float(energy) == math.sqrt(7.0)
     assert float(deviation) < 1e-13
     assert math.isfinite(float(value))
+
+
+def _defined_names():
+    """Every function, class and assigned name in src/kgo, at any level."""
+    names = set()
+    for path in (ROOT / "src" / "kgo").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    return names
+
+
+def test_readme_cites_only_names_the_package_defines():
+    """Every private name (`_name`, also as `module._name`) and every
+    upper-case constant with an underscore (`GRAM_GATE`) that the README
+    quotes in backticks is defined in src/kgo, so deleting or renaming an
+    internal the README names fails here until the README follows."""
+    cited = set()
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        cited.update(re.findall(r"(?<![\w*])_[A-Za-z]\w*|\b[A-Z][A-Z0-9]+(?:_[A-Z0-9]+)+\b", span))
+    assert cited, "no cited name found: the pattern no longer matches the README"
+    assert cited <= _defined_names(), sorted(cited - _defined_names())

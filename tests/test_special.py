@@ -197,14 +197,25 @@ def test_tables_accept_points_of_any_shape():
 
 def test_renormalize_lifts_a_pair_below_the_range():
     """A pair below 2^-930 is multiplied by exactly 2^930 and its offset
-    lowered by _LOG_RESCALE; pairs in range, and a zero pair, stay as they are."""
-    vk = np.array([3.0 * 2.0**-1000, 0.75, 0.0])
-    vkm1 = np.array([-(2.0**-990), 2.0**-1000, 0.0])
-    s = np.array([5.0, 5.0, 5.0])
-    new_vk, new_vkm1, new_s = special._renormalize(vk, vkm1, s)
-    assert new_vk.tolist() == [3.0 * 2.0**-70, 0.75, 0.0]
-    assert new_vkm1.tolist() == [-(2.0**-60), 2.0**-1000, 0.0]
-    assert new_s.tolist() == [5.0 - special._LOG_RESCALE, 5.0, 5.0]
+    lowered by _LOG_RESCALE, a pair above 2^930 divided by it and its offset
+    raised; pairs in range, and a zero pair, stay as they are (returned as
+    given when no pair moves).  The same in long double, where the rescaled
+    pairs keep their dtype.  A partner taken below the normal double range
+    rounds as the division does (to even)."""
+    vk = [3.0 * 2.0**-1000, 0.75, 0.0, 3.0 * 2.0**1000, 2.0**1000]
+    vkm1 = [-(2.0**-990), 2.0**-1000, 0.0, -(2.0**990), 2.0**-100 + 2.0**-145]
+    for dtype in (float, np.longdouble):
+        s = np.full(5, 5.0, dtype=dtype)
+        new_vk, new_vkm1, new_s = special._renormalize(np.array(vk, dtype=dtype), np.array(vkm1, dtype=dtype), s)
+        assert new_vk.dtype == new_vkm1.dtype == new_s.dtype == dtype
+        assert new_vk.tolist() == [3.0 * 2.0**-70, 0.75, 0.0, 3.0 * 2.0**70, 2.0**70]
+        assert new_vkm1[:4].tolist() == [-(2.0**-60), 2.0**-1000, 0.0, -(2.0**60)]
+        expected = 2.0**-1030 if dtype is float else np.ldexp(np.longdouble(2.0**-100 + 2.0**-145), -930)
+        assert new_vkm1[4] == expected == np.array(vkm1[4], dtype=dtype) / special._RESCALE
+        up, down = dtype(5.0) + special._LOG_RESCALE, dtype(5.0) - special._LOG_RESCALE
+        assert new_s.tolist() == [down, 5.0, 5.0, up, up]
+        in_range = np.array(vk[1:3], dtype=dtype), np.array(vkm1[1:3], dtype=dtype), s[1:3]
+        assert all(a is b for a, b in zip(special._renormalize(*in_range), in_range))
 
 
 def _record_blocks(monkeypatch):
@@ -224,7 +235,8 @@ def _record_blocks(monkeypatch):
 def test_renormalization_runs_on_a_budget(monkeypatch):
     """The engines rescale only when the growth bound runs out (15 times for
     this table), not on each of its 500 steps, and turn each block of rows
-    between two rescales into values with one call, not row by row."""
+    between two rescales or coefficient-block ends into values with one
+    call, not row by row."""
     calls = []
     renormalize = special._renormalize
 
@@ -236,14 +248,17 @@ def test_renormalization_runs_on_a_budget(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     hermite_function_table(500, np.linspace(-30.0, 30.0, 512))
     assert len(calls) <= 50
-    # every block ends at a rescale or at the engine's last renormalization
-    assert len(blocks) <= len(calls)
+    # every block ends at a rescale (each renormalization but the engine's
+    # last) or where a block of coefficient rows ends
+    coefficient_blocks = math.ceil(500 / (special._MATERIALIZE_CELLS // 512))
+    assert len(blocks) <= len(calls) - 1 + coefficient_blocks
     assert sum(blocks) == 501
 
 
 # Point sets for the chunking test: moderate ones, whose blocks between two
-# rescales span several chunks, and wide ones up to 1e12, which rescale
-# almost every step; each has the origin and points beyond _FAR_ARG.
+# rescales span several blocks of coefficient rows, and wide ones up to 1e12,
+# which rescale almost every step; each has the origin and points beyond
+# _FAR_ARG.
 MODERATE_XI = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, -0.0, 3e28, -1e29, 1e300]])
 WIDE_XI = np.concatenate([[0.0, -0.0, 1e29, -1e30], np.geomspace(1e-3, 1e12, 600), -np.geomspace(1e-3, 1e12, 600)])
 MODERATE_RHO = np.concatenate([np.linspace(0.0, 900.0, 2001), [3e28, 1e300]])
@@ -251,24 +266,44 @@ WIDE_RHO = np.concatenate([[0.0, 1e29], np.geomspace(1e-3, 1e12, 1200)])
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, offset",
     [
-        lambda xi, rho: hermite_function_table(400, xi),
-        lambda xi, rho: laguerre_function_table(300, -0.5, rho),
-        lambda xi, rho: laguerre_function_table(300, 0.5, rho),
-        lambda xi, rho: laguerre_function_table(300, 64.5, rho),
+        (lambda xi, rho, n=400: hermite_function_table(n, xi), lambda xi, rho: special._hermite_offset(xi)),
+        (
+            lambda xi, rho, n=300: laguerre_function_table(n, -0.5, rho),
+            lambda xi, rho: special._laguerre_offset(-0.5, rho),
+        ),
+        (
+            lambda xi, rho, n=300: laguerre_function_table(n, 0.5, rho),
+            lambda xi, rho: special._laguerre_offset(0.5, rho),
+        ),
+        (
+            lambda xi, rho, n=300: laguerre_function_table(n, 64.5, rho),
+            lambda xi, rho: special._laguerre_offset(64.5, rho),
+        ),
     ],
     ids=["hermite", "laguerre-neg-half", "laguerre-half", "laguerre-64.5"],
 )
-def test_chunked_materialize_matches_row_by_row(monkeypatch, build):
-    """A table materialized in chunks of rows has the bytes of the same table
-    materialized one row per chunk (the order-by-order evaluation)."""
+def test_chunked_materialize_matches_row_by_row(monkeypatch, build, offset):
+    """A table materialized a block of coefficient rows at a time, and at each
+    rescale, has the bytes of the same table materialized one row per call
+    (the order-by-order evaluation); no call covers more rows than one
+    coefficient block and row 0.  Row 0, alone the whole n_max = 0 table, is
+    exp of the start offset (0 beyond _FAR_ARG, the origin's limit at 0)."""
     blocks = _record_blocks(monkeypatch)
-    chunked = build(MODERATE_XI, MODERATE_RHO), build(WIDE_XI, WIDE_RHO)
-    chunk_rows = special._MATERIALIZE_CELLS // MODERATE_XI.size
-    assert len(blocks) >= 6 and max(blocks) > 2 * chunk_rows, (blocks, chunk_rows)
+    point_sets = (MODERATE_XI, MODERATE_RHO), (WIDE_XI, WIDE_RHO)
+    chunked = []
+    for xi, rho in point_sets:
+        blocks.clear()
+        chunked.append(build(xi, rho))
+        rows = special._MATERIALIZE_CELLS // chunked[-1].shape[1]
+        assert len(blocks) >= 6 and max(blocks) <= rows + 1, (blocks, rows)
+    for (xi, rho), table in zip(point_sets, chunked):
+        with np.errstate(over="ignore", divide="ignore"):
+            start = np.exp(offset(xi, rho))
+        assert table[0].tobytes() == build(xi, rho, 0).tobytes() == start.tobytes()
     monkeypatch.setattr(special, "_MATERIALIZE_CELLS", 1)
-    by_row = build(MODERATE_XI, MODERATE_RHO), build(WIDE_XI, WIDE_RHO)
+    by_row = [build(xi, rho) for xi, rho in point_sets]
     for a, b in zip(chunked, by_row):
         assert a.tobytes() == b.tobytes()
 
@@ -282,8 +317,8 @@ def test_chunked_materialize_matches_row_by_row(monkeypatch, build):
     ids=["hermite", "laguerre"],
 )
 def test_table_memory_stays_near_the_table(build):
-    """Building a table allocates little beyond the table: its blocks are
-    turned into values a bounded chunk at a time."""
+    """Building a table allocates little beyond the table: its rows are
+    turned into values a bounded block at a time."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
