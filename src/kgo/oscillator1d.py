@@ -209,9 +209,9 @@ class _Line:
     through its sector's ``nodes``, the same bits as the first rows of any
     taller table.  ``nodes`` builds the table at any further points in the
     same engine call: the closure driver's grid and the Green's check's x'
-    join the nodes, and a projection passes none.  A column that no rescale
-    touches keeps its bits in such a joint call; a rescaled one can move at
-    the ulp level, since the points of a call set its rescale schedule."""
+    join the nodes, and a projection passes none.  Every column keeps its
+    bits in such a joint call: the points of a call set its rescale
+    schedule, and a rescale moves only a column's exponent."""
 
     params: OscillatorParams
     ell = None

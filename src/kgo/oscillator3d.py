@@ -147,7 +147,10 @@ def shell_modes(N: int) -> list[tuple[int, int]]:
 
 
 def _check_in_range(value, name, top):
-    if not 0 <= value <= top:
+    """Refuse a value that is not an integer in [0, top], naming it: an
+    integer outside the range gets the range message, and anything else
+    _check_degree's, before any comparison that would raise TypeError."""
+    if isinstance(value, (int, np.integer)) and not 0 <= value <= top:
         raise ValueError(f"{name} must lie in [0, {top}], got {value}")
     _check_degree(value, name)
 
@@ -186,7 +189,8 @@ class _Radial:
     rho = lambda^2 r^2, on Gauss-Laguerre rules of alpha = ell + 1/2 in rho.
     Like ``oscillator1d._Line`` it builds the table at a rule's nodes itself,
     exactly the n_max + 1 rows an operator reads, with the table at any
-    further points in the same engine call."""
+    further points in the same engine call, each column with the bits of its
+    own call."""
 
     params: OscillatorParams
     ell: int
@@ -229,20 +233,21 @@ def radial_gram(params: OscillatorParams, ell: int, n_max: int, rule: Quadrature
     normalized Laguerre functions, so an alpha = ell + 1/2 rule with
     count >= n_max + 1 reproduces the identity up to rounding.
     """
+    _check_in_range(n_max, "n_max", MAX_RADIAL_ORDER)
     _Radial(params, ell).require(rule, n_max + 1)
     return _gram(laguerre_function_table(n_max, ell + 0.5, rule.nodes), rule.modified_weights)
 
 
 def radial_closure_kernel(params: OscillatorParams, ell: int, N_max: int, r: float, r2: float) -> float:
     """Truncated radial closure kernel sum_{n_r<=N_max} R(r) R(r')."""
-    sector = _Radial(params, ell)
-    _check_in_range(N_max, "n_r", MAX_RADIAL_ORDER)
-    return _pair_sum(sector, N_max, r, r2)
+    _check_in_range(N_max, "N_max", MAX_RADIAL_ORDER)
+    return _pair_sum(_Radial(params, ell), N_max, r, r2)
 
 
 def project_radial(params: OscillatorParams, ell: int, N_max: int, f, rule: QuadratureRule) -> SpectralProjection:
     """Radial coefficients c_{n_r} = integral R_{n_r ell} f dr for
     n_r = 0..N_max, by Gauss-Laguerre quadrature in rho."""
+    _check_in_range(N_max, "N_max", MAX_RADIAL_ORDER)
     return _project(_Radial(params, ell), N_max, f, rule)
 
 

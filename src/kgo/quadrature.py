@@ -210,8 +210,8 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
     and start each root from the Taylor series of y's differential equation
     about the bracket end nearer the chord point.
 
-    fn_df(grid) returns (y, y', s), y and its derivative in the grid's
-    variable, both times exp(-s) per point, as the engines give them: the
+    fn_df(grid) returns (y, y', e), y and its derivative in the grid's
+    variable, both times 2^-e per point, as the engines give them: the
     slopes cost no sweep, since every engine returns v_{K-1} with v_K.
     Returns the lower and upper bracket ends, the sign of y at the lower
     ends and the start in each bracket (a, b): the root of the series about
@@ -226,7 +226,7 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
     root; a grid that shows another number of sign changes (y exactly 0 at
     a point, say) raises QuadratureError.
     """
-    f, df, s = fn_df(grid)
+    f, df, e = fn_df(grid)
     signs = np.sign(f)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if flips.size != n_roots:
@@ -235,8 +235,8 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
         )
     a, b = flips, flips + 1
     # both values over the larger of their scales, so neither overflows
-    top = np.maximum(s[a], s[b])
-    pa, pb = f[a] * np.exp(s[a] - top), f[b] * np.exp(s[b] - top)
+    top = np.maximum(e[a], e[b])
+    pa, pb = np.ldexp(f[a], e[a] - top), np.ldexp(f[b], e[b] - top)
     chord = grid[a] + (grid[b] - grid[a]) * (pa / (pa - pb))
     end = np.where((np.abs(pb) < np.abs(pa)) & (a > 0), b, a)
     x0 = np.where(a > 0, grid[end], 0.0)
@@ -248,8 +248,8 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     """Roots in the brackets (lo, hi), in bracket order, from the start
     points x, as np.longdouble, and log |df| at each.
 
-    fn_df(x) returns (f, df, s): a function f and a slope df, both times
-    exp(-s) per point, so the Newton step f/df and the sign of f are exact
+    fn_df(x) returns (f, df, e): a function f and a slope df, both times
+    2^-e per point, so the Newton step f/df and the sign of f are exact
     even when the true values over/underflow; it must accept np.longdouble
     points.  Each family picks df = f' times a positive factor such that
     df' = 0 wherever f = 0, so one evaluation next to a root gives df at
@@ -287,7 +287,7 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     for _ in range(120):
         x = np.where(np.abs(x) < quantum / _STOP, x, np.round(x / quantum) * quantum)
         stop = _STOP * np.minimum(hi - lo, np.abs(x))
-        f, df, s = fn_df(x)
+        f, df, e = fn_df(x)
         same_as_lo = np.sign(f) == f_lo_sign
         a = np.where(same_as_lo, x, a)
         b = np.where(same_as_lo, b, x)
@@ -301,7 +301,7 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     else:
         raise QuadratureError(f"polish of {x.size} roots did not converge in 120 sweeps")
     with np.errstate(divide="ignore"):
-        log_d = np.log(np.abs(df)) + s
+        log_d = np.log(np.ldexp(np.abs(df), e))
     return x, log_d
 
 
@@ -320,23 +320,23 @@ def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
 def _hermite_fn_df(count, x):
     """h_K and its slope h_K' = sqrt(2K) h_{K-1} - x h_K at x, in x's dtype,
     for _polish; h_K'' = (x^2 - 2K - 1) h_K is 0 at a root."""
-    v, vm1, s = _hermite_engine(count, x)
-    return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v, s
+    v, vm1, e = _hermite_engine(count, x)
+    return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v, e
 
 
 def _laguerre_fn_df(count, alpha, rho):
     """lf_K and rho lf_K' = lf_K (K + alpha/2 - rho/2) - sqrt(K(K+alpha)) lf_{K-1},
     both times rho, at rho, in rho's dtype, for _polish; by the Laguerre
     function equation (rho lf_K')' = (alpha^2/(4 rho) + rho/4 - K - (alpha+1)/2) lf_K."""
-    v, vm1, s = _laguerre_engine(count, alpha, rho)
+    v, vm1, e = _laguerre_engine(count, alpha, rho)
     k = rho.dtype.type(count)
-    return rho * v, v * (k + 0.5 * alpha - 0.5 * rho) - np.sqrt(k * (k + alpha)) * vm1, s
+    return rho * v, v * (k + 0.5 * alpha - 0.5 * rho) - np.sqrt(k * (k + alpha)) * vm1, e
 
 
 def _laguerre_fn_df_s(count, alpha, s):
     """lf_K(s^2) and its slope in s, 2 s lf_K' = 2 (rho lf_K') / s, for the scan."""
-    f, df, log_scale = _laguerre_fn_df(count, alpha, s * s)
-    return f / (s * s), 2.0 * df / s, log_scale
+    f, df, e = _laguerre_fn_df(count, alpha, s * s)
+    return f / (s * s), 2.0 * df / s, e
 
 
 # Scan grids.  Sturm's comparison theorem: where u'' + Q u = 0 and Q <= w^2,
@@ -415,7 +415,7 @@ def _legendre_fn_df(count, x):
     for _polish; (1 - x)(1 + x) is exact near +-1, where 1 - x*x cancels,
     and ((1 - x^2) P_K')' = -K (K + 1) P_K."""
     pk, pkm1 = _legendre_pair(count, x)
-    return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk), np.zeros_like(x)
+    return pk * (1.0 - x) * (1.0 + x), count * (pkm1 - x * pk), np.zeros(x.shape, np.intc)
 
 
 def _rule(family, nodes, weights, log_weights, modified_weights, **fields):

@@ -13,24 +13,29 @@ production paths run recurrences on the *normalized* weighted functions
                 L_n^(alpha)(rho)
 
 whose values stay O(1) throughout the oscillatory region.  Each point
-additionally carries a base-e log offset, so the far tails (where even the
+additionally carries a scale c 2^e, so the far tails (where even the
 normalized start values leave the double range) remain correct instead of
-flushing to zero prematurely.  The offset is adjusted on a growth budget,
-not on every step: before each step the recurrence coefficients give a
-bound on how far any point's mantissa pair can move, and the pairs are
-rescaled by the power of two ``_RESCALE`` (which changes no mantissa bit)
-only before a step that could take one of them out of the normal double
-range.  One loop serves both families: each engine supplies only its start
-offset, its far-point stand-in, the coefficient arrays that the growth
-bound spends, and a function that forms the steps' arrays a_k from those
-arrays, a block of steps at a time into one buffer that the loop reuses.
-The engines run in the dtype of their points, so long-double points get
-long-double coefficients and values; the public evaluators pass doubles.
-A table receives each order's raw mantissa as the recurrence runs, and
-each row is turned into a value in place, once, with the offset it shares:
-at the next rescale or at the end of its block of steps, whichever comes
-first.  So one bound, ``_MATERIALIZE_CELLS``, holds both the coefficient
-buffer and the temporary that turns rows into values.  The raw
+flushing to zero prematurely.  The start offset, the log of the order-0
+function, is split once per point into the factor c = exp(r), r in
+[0, ln 2), and the integer exponent e, with ln 2 in two parts (Cody & Waite,
+*Software Manual for the Elementary Functions*, 1980); the mantissa pair
+starts at (1, 0).  The exponent is adjusted on a growth budget, not on
+every step: before each step the recurrence coefficients give a bound on
+how far any point's mantissa pair can move, and the pairs are rescaled by
+the power of two ``_RESCALE`` (which changes no mantissa bit) only before a
+step that could take one of them out of the normal double range; the
+rescale moves e by exactly ``_RESCALE_EXP``.  So a value's bits do not
+depend on when its point was rescaled, nor on the other points of its
+call, which set the schedule.  One loop serves both families: each engine
+supplies only its start offset, its far-point stand-in, the coefficient
+arrays that the growth bound spends, and a function that forms the steps'
+arrays a_k from those arrays, a block of steps at a time into one buffer
+that the loop reuses.  The engines run in the dtype of their points, so
+long-double points get long-double coefficients and values; the public
+evaluators pass doubles.  A table receives each order's raw mantissa as the
+recurrence runs, and its rows are turned into values in place, with the
+scale they share, at each rescale and once at the end: two products by
+per-point factors, with no temporary the size of the rows.  The raw
 polynomials share one loop too, ``_raw_recurrence``: each family supplies
 only the coefficients of its plain recurrence, and the loop renormalizes
 the pair by a power of two at every step and counts the exponent apart;
@@ -68,7 +73,6 @@ __all__ = [
 # exact.
 _RESCALE_EXP = 930
 _RESCALE = 2.0**_RESCALE_EXP
-_LOG_RESCALE = _RESCALE_EXP * math.log(2.0)
 # Log growth or shrinkage a renormalized pair can take before it could leave
 # the normal double range: about 63.7 (shrinking, to the smallest normal
 # double) against 65.2 (growing, to the largest).
@@ -82,10 +86,20 @@ _HEADROOM = min(
 # range, and one step from a mantissa near _RESCALE could overflow.
 _FAR_ARG = 1e28
 
-# Values per block of recurrence coefficients, and so per call of
-# _materialize: the coefficient buffer and the one temporary of each
-# _materialize call stay at 256 KB whatever the size of the table.
+# Values per block of recurrence coefficients: the coefficient buffer stays
+# at 256 KB whatever the size of the table.
 _MATERIALIZE_CELLS = 2**15
+
+# ln 2 in two parts (Cody & Waite): _LN2_HI has 32 significant bits, so
+# e * _LN2_HI is exact for |e| < 2^21, and _LN2_HI + _LN2_LO is ln 2 to
+# about 2^-86.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+# Start offsets are clamped to this many nats, an exponent of about -1.55e9,
+# so an exponent stays within np.intc through more than 600,000 rescales.
+# From there the recurrence would need about 10^9 nats of growth, over a
+# million steps, to reach the double range, so every order of such a point
+# is 0, as beyond _FAR_ARG (offset -inf).
+_MIN_OFFSET = -(2.0**30)
 
 
 @dataclass(frozen=True)
@@ -173,9 +187,8 @@ def hermite_function(n: int, xi):
     """
     _check_degree(n)
     arr = _check_not_nan(np.asarray(xi, dtype=float))
-    v, _, s = _hermite_engine(n, arr.ravel())
-    _materialize(v, s)
-    out = v.reshape(arr.shape)
+    v, _, e = _hermite_engine(n, arr.ravel())
+    out = _materialize(v, 1.0, e).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -195,11 +208,12 @@ def _hermite_offset(xi):
 
 
 def _hermite_engine(n_max, xi, table=None):
-    """Run the normalized Hermite recurrence with per-point log rescaling.
+    """Run the normalized Hermite recurrence with per-point rescaling.
 
-    Returns (v_n, v_{n-1}, s): mantissas of the top two orders sharing the
-    per-point log offset s, so ratios of same-point values are exact.  A
-    given ``table`` of shape (n_max+1, npts) receives every order's values.
+    Returns (v_n, v_{n-1}, e): the top two orders as mantissas sharing the
+    per-point integer exponent e, h_n = v_n 2^e, so ratios of same-point
+    values are exact.  A given ``table`` of shape (n_max+1, npts) receives
+    every order's values.
     """
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
@@ -252,10 +266,8 @@ def laguerre_function(n: int, alpha: float, rho):
     an ndarray.
     """
     rho, origin, at_origin = _laguerre_points(n, alpha, rho)
-    v, _, s = _laguerre_engine(n, alpha, rho.ravel())
-    _materialize(v, s)
-    v[origin.ravel()] = at_origin
-    out = v.reshape(rho.shape)
+    v, _, e = _laguerre_engine(n, alpha, rho.ravel())
+    out = np.where(origin, at_origin, _materialize(v, 1.0, e).reshape(rho.shape))
     return float(out) if rho.ndim == 0 else out
 
 
@@ -291,8 +303,8 @@ def _laguerre_offset(alpha, rho):
 
 
 def _laguerre_engine(n_max, alpha, rho, table=None):
-    """Normalized Laguerre recurrence with per-point log rescaling
-    (requires rho > 0 elementwise), returning and filling ``table`` as
+    """Normalized Laguerre recurrence with per-point rescaling (requires
+    rho > 0 elementwise), returning and filling ``table`` as
     :func:`_hermite_engine` does.
 
     lf_{k+1} = A_k lf_k - B_k lf_{k-1} with
@@ -501,70 +513,71 @@ def _recurrence(s, fill, b, a_max, table=None):
     the rows of ``out`` and |a_k| <= a_max[k], the bound the growth budget
     spends.  The a_k are made a block of rows at a time in one buffer, in
     the dtype of b, that every block reuses: at most _MATERIALIZE_CELLS
-    values, or one row where the points alone are more.  A table receives
-    each order's raw mantissa as the loop runs, and its rows become values
-    in place, with the offset they share, at each rescale and at the end of
-    each block, so no call of :func:`_materialize` covers more rows than one
-    block and row 0.  Returns and fills ``table`` as :func:`_hermite_engine`
-    documents."""
-    vk, vkm1 = np.ones_like(s), np.zeros_like(s)
+    values, or one row where the points alone are more.  Each offset,
+    clamped to _MIN_OFFSET, is split once into c 2^e (module docstring).  A
+    table receives each order's raw mantissa as the loop runs, and its rows
+    become values in place, with the exponent they share, at each rescale
+    and once at the end.  Returns (v_n c, v_{n-1} c, e) and fills ``table``
+    as :func:`_hermite_engine` documents."""
+    s = np.maximum(s, _MIN_OFFSET)
+    e = np.floor(s / math.log(2.0))
+    c, e = np.exp(s - e * _LN2_HI - e * _LN2_LO), e.astype(np.intc)
+    vk, vkm1 = np.ones_like(c), np.zeros_like(c)
     if table is not None:
         table[0] = vk
     rescale = _rescale_steps(a_max, b)
     rows = max(1, _MATERIALIZE_CELLS // max(1, s.size))
     block = np.empty((min(rows, b.size), s.size), dtype=b.dtype)
     start = 0  # first table row still holding a raw mantissa
-    # one pass at least, so that an n_max = 0 table's row 0 becomes a value
-    for k0 in range(0, max(b.size, 1), rows):
+    for k0 in range(0, b.size, rows):
         k1 = min(k0 + rows, b.size)
         fill(k0, k1, block[: k1 - k0])
         # tolist gives Python floats for doubles, np.longdouble for long doubles
         for k, a, bk in zip(range(k0, k1), block, b[k0:k1].tolist()):
             if k in rescale:
                 if table is not None:
-                    _materialize(table[start : k + 1], s)
+                    _materialize(table[start : k + 1], c, e)
                     start = k + 1
-                vk, vkm1, s = _renormalize(vk, vkm1, s)
+                vk, vkm1, e = _renormalize(vk, vkm1, e)
             vk, vkm1 = a * vk - bk * vkm1, vk
             if table is not None:
                 table[k + 1] = vk
-        if table is not None:
-            _materialize(table[start : k1 + 1], s)
-            start = k1 + 1
-    return _renormalize(vk, vkm1, s)
+    if table is not None:
+        _materialize(table[start:], c, e)
+    vk, vkm1, e = _renormalize(vk, vkm1, e)
+    return vk * c, vkm1 * c, e
 
 
-def _renormalize(vk, vkm1, s):
+def _renormalize(vk, vkm1, e):
     """Pull mantissa pairs back into [1/_RESCALE, _RESCALE] per point.
 
     The recurrence loop calls this only when its growth budget runs out and
     once before returning; a pair then lies within one factor _RESCALE of that
     range.  One shift per point, +1 above it, -1 below it and 0 otherwise
     (a zero pair included), scales the pair by the factor
-    2^(-shift _RESCALE_EXP) that np.ldexp forms and adds shift * _LOG_RESCALE
-    to its offset.  The power-of-two rescale changes no mantissa bit (unless
-    it takes the smaller value of a pair below the normal range, where it
-    rounds as a division by _RESCALE does).
+    2^(-shift _RESCALE_EXP) that np.ldexp forms and adds shift _RESCALE_EXP
+    to its exponent.  The power-of-two rescale changes no mantissa bit
+    (unless it takes the smaller value of a pair below the normal range,
+    where it rounds as a division by _RESCALE does).
     """
     mag = np.maximum(np.abs(vk), np.abs(vkm1))
-    shift = (mag > _RESCALE).astype(int) - ((mag < 1.0 / _RESCALE) & (mag > 0.0))
+    shift = (mag > _RESCALE).astype(np.intc) - ((mag < 1.0 / _RESCALE) & (mag > 0.0))
     if not shift.any():  # most calls: every pair is still in range
-        return vk, vkm1, s
+        return vk, vkm1, e
     scale = np.ldexp(1.0, -_RESCALE_EXP * shift)
-    return vk * scale, vkm1 * scale, s + shift * _LOG_RESCALE
+    return vk * scale, vkm1 * scale, e + _RESCALE_EXP * shift
 
 
-def _materialize(v, s):
-    """Turn raw mantissas v (a row, or rows) that share the per-point log
-    offset s into values in place: v exp(s) computed as
-    sign(v) exp(s + log|v|), safe for extreme offsets; 0 where v is 0
-    (np.sign keeps that 0 positive for a -0.0 mantissa, where np.copysign
-    would not).  Its one temporary has the size of v, which the recurrence
-    keeps within one block of steps and row 0."""
-    with np.errstate(divide="ignore"):
-        e = np.abs(v)
-        np.log(e, out=e)
-        e += s
-        np.exp(e, out=e)
-        np.sign(v, out=v)
-        v *= e
+def _materialize(v, c, e):
+    """Turn raw mantissas v (a row, or rows) that share the per-point factor
+    c and exponent e into the values v c 2^e in place, and return v.  They
+    are formed as v (c 2^e0) 2^(e - e0), e0 the exponent clamped to
+    [-1022, 1022], so that neither factor leaves the double range: two
+    products by per-point arrays, with no temporary the size of v.  A zero
+    mantissa gives +0.0 whatever its sign, as it did when values were formed
+    through logs; a negative value that underflows gives -0.0."""
+    e0 = np.minimum(np.maximum(e, -1022), 1022)
+    v += 0.0
+    v *= np.ldexp(c, e0)
+    v *= np.ldexp(1.0, e - e0)
+    return v

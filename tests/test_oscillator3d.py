@@ -168,7 +168,7 @@ def test_fractional_orders_are_refused(unit_params):
     non_integer = "{} must be a non-negative integer, got {}"
     cases = [
         (lambda: radial_closure_kernel(unit_params, 1.5, 3, 0.4, 0.5), non_integer.format("ell", 1.5)),
-        (lambda: radial_closure_kernel(unit_params, 1, 2.5, 0.4, 0.5), non_integer.format("n_r", 2.5)),
+        (lambda: radial_closure_kernel(unit_params, 1, 2.5, 0.4, 0.5), non_integer.format("N_max", 2.5)),
         (lambda: radial_eigenfunction(unit_params, 1, 1.5, 0.4), non_integer.format("ell", 1.5)),
         (lambda: full_eigenfunction_origin(unit_params, 1.5), non_integer.format("n_r", 1.5)),
         (lambda: Mode3D(radial_mode(1, 2), 1.5), non_integer.format("|m|", 1.5)),
@@ -178,6 +178,29 @@ def test_fractional_orders_are_refused(unit_params):
     ]
     for call, message in cases:
         assert _refusal(call) == message
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", None])
+def test_radial_orders_are_refused_by_name(unit_params, bad):
+    """Each radial entry point refuses a quantum number or truncation that is
+    not an integer in its range with ValueError naming the argument, the
+    type checked before any comparison: an integer outside the range gets
+    the range message, anything else the non-negative-integer one."""
+    rule = gauss_laguerre(8, 0.5)
+    calls = [
+        ("n_r", 200, lambda: radial_eigenfunction(unit_params, bad, 2, 1.0)),
+        ("ell", 64, lambda: radial_eigenfunction(unit_params, 2, bad, 1.0)),
+        ("n_r", 200, lambda: full_eigenfunction_origin(unit_params, bad)),
+        ("n_max", 200, lambda: radial_gram(unit_params, 0, bad, rule)),
+        ("N_max", 200, lambda: radial_closure_kernel(unit_params, 0, bad, 0.1, 0.2)),
+        ("N_max", 200, lambda: project_radial(unit_params, 0, bad, math.cos, rule)),
+    ]
+    for name, top, call in calls:
+        if bad == -1:
+            expected = f"{name} must lie in [0, {top}], got -1"
+        else:
+            expected = f"{name} must be a non-negative integer, got {bad!r}"
+        assert _refusal(call) == expected
 
 
 @pytest.mark.parametrize(

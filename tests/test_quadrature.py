@@ -1041,21 +1041,25 @@ def _assert_joint_table_bits(sector, rule, n_max, x, table_at):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-# orders n_max = order * (count - 1), and points x, r = u / lambda with u in
-# [-6, 6] and [0, 6]: the closure grid's span, and every Green's probe the
-# bench draws
+# orders n_max = order * (count - 1), and points x, r = u / lambda with u
+# anywhere: the closure grid's span [-6, 6] and every Green's probe the bench
+# draws, the tails, where columns are rescaled, and every magnitude up to
+# 1e300, beyond the engines' far-point cut
 _ORDERS = st.floats(0.0, 1.0)
 _MASSES = st.floats(0.25, 4.0)
-_UNITS = st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=101)
+_UNITS = st.lists(
+    st.one_of(st.floats(-6.0, 6.0), st.floats(-45.0, 45.0), st.floats(-1e300, 1e300)), min_size=1, max_size=101
+)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(count=st.integers(1, 239), order=_ORDERS, mass=_MASSES, u=_UNITS)
-@example(count=239, order=1.0, mass=1.0, u=[-6.0, 0.0, 6.0])
+@given(count=st.integers(1, MAX_NODES), order=_ORDERS, mass=_MASSES, u=_UNITS)
+@example(count=MAX_NODES, order=1.0, mass=1.0, u=[-6.0, 0.0, 6.0])
+@example(count=MAX_NODES, order=1.0, mass=1.0, u=[-42.7, 37.5, 1e27, -1e30])
 @example(count=1, order=1.0, mass=0.25, u=[6.0])
 def test_line_nodes_with_points_keep_both_tables(count, order, mass, u):
-    """One Hermite table at a rule's nodes and points |x| <= 6 / lambda gives
-    the bits of the two separate tables (no column there is rescaled)."""
+    """One Hermite table at a rule's nodes and points x anywhere gives the
+    bits of the two separate tables, rescaled columns included."""
     n_max = round(order * (count - 1))
     params = OscillatorParams(mass, 1.0)
     _assert_joint_table_bits(
@@ -1064,13 +1068,13 @@ def test_line_nodes_with_points_keep_both_tables(count, order, mass, u):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(count=st.integers(1, 144), order=_ORDERS, ell=st.integers(0, 64), mass=_MASSES, u=_UNITS)
-@example(count=144, order=1.0, ell=64, mass=1.0, u=[0.0, 6.0])
-@example(count=144, order=1.0, ell=0, mass=4.0, u=[0.0, 1e-3, 6.0])
+@given(count=st.integers(1, MAX_NODES), order=_ORDERS, ell=st.integers(0, 64), mass=_MASSES, u=_UNITS)
+@example(count=MAX_NODES, order=1.0, ell=64, mass=1.0, u=[0.0, 6.0])
+@example(count=MAX_NODES, order=1.0, ell=0, mass=4.0, u=[0.0, 1e-3, 6.0, 45.0, 1e14, 1e300])
 @example(count=1, order=0.0, ell=64, mass=0.25, u=[0.0])
 def test_radial_nodes_with_points_keep_both_tables(count, order, ell, mass, u):
-    """The radial form: Laguerre tables at alpha = ell + 1/2, radii in
-    [0, 6 / lambda], the origin included."""
+    """The radial form: Laguerre tables at alpha = ell + 1/2, radii |u| / lambda
+    anywhere, the origin included."""
     n_max = round(order * (count - 1))
     params = OscillatorParams(mass, 1.0)
     r = np.abs(np.array(u)) / params.lam

@@ -2,6 +2,7 @@
 term-by-term series, extended-precision (mpmath), closed forms, and the
 symmetry/boundedness properties the recurrences must respect."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -181,6 +182,41 @@ def test_table_rows_do_not_depend_on_table_size():
             assert big_l[: n + 1].tobytes() == laguerre_function_table(n, alpha, rho).tobytes(), (n, alpha)
 
 
+# Points for the batch test: the oscillatory region and its tails, where
+# deep start offsets meet large growth (|xi| near 36 and beyond), every
+# magnitude up to and beyond _FAR_ARG, and the origin.  The Laguerre points
+# are their squares, so they reach the Laguerre tails too.
+BATCH_POINTS = st.one_of(
+    st.floats(-45.0, 45.0),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(30.0, 45.0)).map(lambda t: t[0] * t[1]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 30.0)).map(lambda t: t[0] * 10.0 ** t[1]),
+    st.sampled_from([0.0, -0.0, 1e3, 1e10, 1e27, special._FAR_ARG, -special._FAR_ARG, 1e30]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["hermite", -0.5, 0.0, 0.5, 10.5, 64.5]),
+    n=st.integers(0, 500),
+    p=st.lists(BATCH_POINTS, min_size=1, max_size=8),
+    q=st.lists(BATCH_POINTS, min_size=1, max_size=8),
+)
+@example(family="hermite", n=493, p=[-42.7], q=[-43.8])
+@example(family="hermite", n=493, p=[-42.7], q=[1e27])
+def test_table_columns_do_not_depend_on_their_batch(family, n, p, q):
+    """Every column of a table at the points P + Q is the table at P alone,
+    or at Q alone, bit for bit: the other points of a call set where the
+    recurrence rescales, and a rescale moves only a point's exponent."""
+    if family == "hermite":
+        build = functools.partial(hermite_function_table, n)
+    else:
+        p, q = np.square(p).tolist(), np.square(q).tolist()
+        build = functools.partial(laguerre_function_table, n, family)
+    joint = build(p + q)
+    assert joint[:, : len(p)].tobytes() == build(p).tobytes()
+    assert joint[:, len(p) :].tobytes() == build(q).tobytes()
+
+
 def test_tables_accept_points_of_any_shape():
     """A point set of any shape gives the table of its ravel, byte for byte."""
     xi = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
@@ -196,25 +232,29 @@ def test_tables_accept_points_of_any_shape():
 
 
 def test_renormalize_lifts_a_pair_below_the_range():
-    """A pair below 2^-930 is multiplied by exactly 2^930 and its offset
-    lowered by _LOG_RESCALE, a pair above 2^930 divided by it and its offset
-    raised; pairs in range, and a zero pair, stay as they are (returned as
-    given when no pair moves).  The same in long double, where the rescaled
-    pairs keep their dtype.  A partner taken below the normal double range
+    """A pair below 2^-930 is multiplied by exactly 2^930 and its exponent
+    lowered by exactly 930, a pair above 2^930 divided by it and its
+    exponent raised; no mantissa bit changes.  Pairs in range, and a zero
+    pair, stay as they are (returned as given when no pair moves).  The same
+    in long double, where the rescaled pairs keep their dtype and the
+    exponents stay np.intc.  A partner taken below the normal double range
     rounds as the division does (to even)."""
     vk = [3.0 * 2.0**-1000, 0.75, 0.0, 3.0 * 2.0**1000, 2.0**1000]
     vkm1 = [-(2.0**-990), 2.0**-1000, 0.0, -(2.0**990), 2.0**-100 + 2.0**-145]
     for dtype in (float, np.longdouble):
-        s = np.full(5, 5.0, dtype=dtype)
-        new_vk, new_vkm1, new_s = special._renormalize(np.array(vk, dtype=dtype), np.array(vkm1, dtype=dtype), s)
-        assert new_vk.dtype == new_vkm1.dtype == new_s.dtype == dtype
+        e = np.full(5, 7, dtype=np.intc)
+        old_vk, old_vkm1 = np.array(vk, dtype=dtype), np.array(vkm1, dtype=dtype)
+        new_vk, new_vkm1, new_e = special._renormalize(old_vk, old_vkm1, e)
+        assert new_vk.dtype == new_vkm1.dtype == dtype and new_e.dtype == np.intc
         assert new_vk.tolist() == [3.0 * 2.0**-70, 0.75, 0.0, 3.0 * 2.0**70, 2.0**70]
         assert new_vkm1[:4].tolist() == [-(2.0**-60), 2.0**-1000, 0.0, -(2.0**60)]
+        # frexp's mantissa in [1/2, 1): the pairs keep every bit of theirs
+        assert np.all(np.frexp(new_vk)[0] == np.frexp(old_vk)[0])
+        assert np.all(np.frexp(new_vkm1[:4])[0] == np.frexp(old_vkm1[:4])[0])
         expected = 2.0**-1030 if dtype is float else np.ldexp(np.longdouble(2.0**-100 + 2.0**-145), -930)
         assert new_vkm1[4] == expected == np.array(vkm1[4], dtype=dtype) / special._RESCALE
-        up, down = dtype(5.0) + special._LOG_RESCALE, dtype(5.0) - special._LOG_RESCALE
-        assert new_s.tolist() == [down, 5.0, 5.0, up, up]
-        in_range = np.array(vk[1:3], dtype=dtype), np.array(vkm1[1:3], dtype=dtype), s[1:3]
+        assert new_e.tolist() == [7 - 930, 7, 7, 7 + 930, 7 + 930]
+        in_range = old_vk[1:3], old_vkm1[1:3], e[1:3]
         assert all(a is b for a, b in zip(special._renormalize(*in_range), in_range))
 
 
@@ -224,9 +264,9 @@ def _record_blocks(monkeypatch):
     blocks = []
     materialize = special._materialize
 
-    def recorded(rows, s):
+    def recorded(rows, c, e):
         blocks.append(rows.shape[0])
-        return materialize(rows, s)
+        return materialize(rows, c, e)
 
     monkeypatch.setattr(special, "_materialize", recorded)
     return blocks
@@ -235,8 +275,8 @@ def _record_blocks(monkeypatch):
 def test_renormalization_runs_on_a_budget(monkeypatch):
     """The engines rescale only when the growth bound runs out (15 times for
     this table), not on each of its 500 steps, and turn each block of rows
-    between two rescales or coefficient-block ends into values with one
-    call, not row by row."""
+    between two rescales into values with one call, not row by row: one
+    call per rescale and one at the end, as many as the renormalizations."""
     calls = []
     renormalize = special._renormalize
 
@@ -248,17 +288,15 @@ def test_renormalization_runs_on_a_budget(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     hermite_function_table(500, np.linspace(-30.0, 30.0, 512))
     assert len(calls) <= 50
-    # every block ends at a rescale (each renormalization but the engine's
-    # last) or where a block of coefficient rows ends
-    coefficient_blocks = math.ceil(500 / (special._MATERIALIZE_CELLS // 512))
-    assert len(blocks) <= len(calls) - 1 + coefficient_blocks
+    # every block but the last ends at a rescale, and the engine's last
+    # renormalization follows the last block
+    assert len(blocks) == len(calls)
     assert sum(blocks) == 501
 
 
-# Point sets for the chunking test: moderate ones, whose blocks between two
-# rescales span several blocks of coefficient rows, and wide ones up to 1e12,
-# which rescale almost every step; each has the origin and points beyond
-# _FAR_ARG.
+# Point sets for the chunking test: moderate ones, which rescale a few times
+# over the table, and wide ones up to 1e12, which rescale almost every step;
+# each has the origin and points beyond _FAR_ARG.
 MODERATE_XI = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, -0.0, 3e28, -1e29, 1e300]])
 WIDE_XI = np.concatenate([[0.0, -0.0, 1e29, -1e30], np.geomspace(1e-3, 1e12, 600), -np.geomspace(1e-3, 1e12, 600)])
 MODERATE_RHO = np.concatenate([np.linspace(0.0, 900.0, 2001), [3e28, 1e300]])
@@ -266,46 +304,56 @@ WIDE_RHO = np.concatenate([[0.0, 1e29], np.geomspace(1e-3, 1e12, 1200)])
 
 
 @pytest.mark.parametrize(
-    "build, offset",
+    "build, engine, offset, interior",
     [
-        (lambda xi, rho, n=400: hermite_function_table(n, xi), lambda xi, rho: special._hermite_offset(xi)),
         (
-            lambda xi, rho, n=300: laguerre_function_table(n, -0.5, rho),
-            lambda xi, rho: special._laguerre_offset(-0.5, rho),
+            lambda xi, rho, n=400: hermite_function_table(n, xi),
+            lambda xi, rho: special._hermite_engine(0, xi),
+            lambda xi, rho: special._hermite_offset(xi),
+            lambda xi, rho: np.full(xi.shape, True),
         ),
-        (
-            lambda xi, rho, n=300: laguerre_function_table(n, 0.5, rho),
-            lambda xi, rho: special._laguerre_offset(0.5, rho),
-        ),
-        (
-            lambda xi, rho, n=300: laguerre_function_table(n, 64.5, rho),
-            lambda xi, rho: special._laguerre_offset(64.5, rho),
+        *(
+            (
+                lambda xi, rho, n=300, alpha=alpha: laguerre_function_table(n, alpha, rho),
+                lambda xi, rho, alpha=alpha: special._laguerre_engine(0, alpha, np.where(rho == 0.0, 1.0, rho)),
+                lambda xi, rho, alpha=alpha: special._laguerre_offset(alpha, rho),
+                lambda xi, rho: rho != 0.0,
+            )
+            for alpha in (-0.5, 0.5, 64.5)
         ),
     ],
     ids=["hermite", "laguerre-neg-half", "laguerre-half", "laguerre-64.5"],
 )
-def test_chunked_materialize_matches_row_by_row(monkeypatch, build, offset):
-    """A table materialized a block of coefficient rows at a time, and at each
-    rescale, has the bytes of the same table materialized one row per call
-    (the order-by-order evaluation); no call covers more rows than one
-    coefficient block and row 0.  Row 0, alone the whole n_max = 0 table, is
-    exp of the start offset (0 beyond _FAR_ARG, the origin's limit at 0)."""
+def test_chunked_materialize_matches_row_by_row(monkeypatch, build, engine, offset, interior):
+    """A table whose rows become values a block at a time, at each rescale
+    and once at the end, has the bytes of the same table with a rescale
+    before every step, whose rows become values one per call: a rescale
+    moves only the exponents, so when it comes changes no bit.  Row 0, alone
+    the whole n_max = 0 table, is c 2^e from the split of the start offset
+    (0 beyond _FAR_ARG; the origin's limit is set apart): c in [1, 2) and
+    c 2^e within 1e-12 of exp(offset) wherever that is a normal double."""
     blocks = _record_blocks(monkeypatch)
     point_sets = (MODERATE_XI, MODERATE_RHO), (WIDE_XI, WIDE_RHO)
     chunked = []
     for xi, rho in point_sets:
         blocks.clear()
         chunked.append(build(xi, rho))
-        rows = special._MATERIALIZE_CELLS // chunked[-1].shape[1]
-        assert len(blocks) >= 6 and max(blocks) <= rows + 1, (blocks, rows)
+        assert len(blocks) >= 2 and max(blocks) > 1, blocks
     for (xi, rho), table in zip(point_sets, chunked):
+        c, _, e = engine(xi, rho)
         with np.errstate(over="ignore", divide="ignore"):
             start = np.exp(offset(xi, rho))
-        assert table[0].tobytes() == build(xi, rho, 0).tobytes() == start.tobytes()
-    monkeypatch.setattr(special, "_MATERIALIZE_CELLS", 1)
-    by_row = [build(xi, rho) for xi, rho in point_sets]
-    for a, b in zip(chunked, by_row):
-        assert a.tobytes() == b.tobytes()
+        normal = (start >= sys.float_info.min) & (start <= sys.float_info.max)
+        assert np.all((c[normal] >= 1.0 - 2.0**-52) & (c[normal] < 2.0))
+        assert np.allclose(np.ldexp(c, e)[normal], start[normal], rtol=1e-12, atol=0.0)
+        cols = interior(xi, rho)
+        assert table[0][cols].tobytes() == np.ldexp(c, e)[cols].tobytes()
+        assert table[0].tobytes() == build(xi, rho, 0).tobytes()
+    monkeypatch.setattr(special, "_rescale_steps", lambda a_max, b: set(range(b.size)))
+    for (xi, rho), table in zip(point_sets, chunked):
+        blocks.clear()
+        assert build(xi, rho).tobytes() == table.tobytes()
+        assert blocks == [1] * table.shape[0]
 
 
 @pytest.mark.parametrize(

@@ -83,9 +83,9 @@ def reference(fn_df, nodes):
     quantum = np.spacing(np.max(np.abs(x), initial=np.longdouble(1.0)))
     for _ in range(REFERENCE_STEPS):
         x = np.round(x / quantum) * quantum
-        f, df, s = fn_df(x)
+        f, df, e = fn_df(x)
         x = x - f / df
-    return x, np.log(np.abs(df)) + s
+    return x, np.log(np.ldexp(np.abs(df), e))
 
 
 def series_ulp(count, alpha, nodes):
