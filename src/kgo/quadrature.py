@@ -211,8 +211,9 @@ def _bracket_by_scan(fn_df, grid, n_roots, series):
     about the bracket end nearer the chord point.
 
     fn_df(grid) returns (y, y', e), y and its derivative in the grid's
-    variable, both times 2^-e per point, as the engines give them: the
-    slopes cost no sweep, since every engine returns v_{K-1} with v_K.
+    variable, both times 2^-e per point, formed from the engine's mantissas
+    times its factor c: the slopes cost no sweep, since every engine
+    returns v_{K-1} with v_K.
     Returns the lower and upper bracket ends, the sign of y at the lower
     ends and the start in each bracket (a, b): the root of the series about
     a or b (:func:`_taylor_start` with series), from the point where the chord
@@ -320,7 +321,8 @@ def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
 def _hermite_fn_df(count, x):
     """h_K and its slope h_K' = sqrt(2K) h_{K-1} - x h_K at x, in x's dtype,
     for _polish; h_K'' = (x^2 - 2K - 1) h_K is 0 at a root."""
-    v, vm1, e = _hermite_engine(count, x)
+    v, vm1, c, e = _hermite_engine(count, x)
+    v, vm1 = v * c, vm1 * c
     return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v, e
 
 
@@ -328,7 +330,8 @@ def _laguerre_fn_df(count, alpha, rho):
     """lf_K and rho lf_K' = lf_K (K + alpha/2 - rho/2) - sqrt(K(K+alpha)) lf_{K-1},
     both times rho, at rho, in rho's dtype, for _polish; by the Laguerre
     function equation (rho lf_K')' = (alpha^2/(4 rho) + rho/4 - K - (alpha+1)/2) lf_K."""
-    v, vm1, e = _laguerre_engine(count, alpha, rho)
+    v, vm1, c, e = _laguerre_engine(count, alpha, rho)
+    v, vm1 = v * c, vm1 * c
     k = rho.dtype.type(count)
     return rho * v, v * (k + 0.5 * alpha - 0.5 * rho) - np.sqrt(k * (k + alpha)) * vm1, e
 

@@ -20,11 +20,11 @@ function, is split once per point into the factor c = exp(r), r in
 [0, ln 2), and the integer exponent e, with ln 2 in two parts (Cody & Waite,
 *Software Manual for the Elementary Functions*, 1980); the mantissa pair
 starts at (1, 0).  The exponent is adjusted on a growth budget, not on
-every step: before each step the recurrence coefficients give a bound on
-how far any point's mantissa pair can move, and the pairs are rescaled by
-the power of two ``_RESCALE`` (which changes no mantissa bit) only before a
-step that could take one of them out of the normal double range; the
-rescale moves e by exactly ``_RESCALE_EXP``.  So a value's bits do not
+every step: the recurrence coefficients bound how far any point's mantissa
+pair can move in each step, and only before a step that could take one of
+them out of [2^-930, 2^929] is each pair rescaled by the power of two that
+puts its larger magnitude in [1/2, 1), a power that moves into e.  A
+power-of-two rescale changes no mantissa bit, so a value's bits do not
 depend on when its point was rescaled, nor on the other points of its
 call, which set the schedule.  One loop serves both families: each engine
 supplies only its start offset, its far-point stand-in, the coefficient
@@ -35,7 +35,9 @@ long-double points get long-double coefficients and values; the public
 evaluators pass doubles.  A table receives each order's raw mantissa as the
 recurrence runs, and its rows are turned into values in place, with the
 scale they share, at each rescale and once at the end: two products by
-per-point factors, with no temporary the size of the rows.  The raw
+per-point factors, with no temporary the size of the rows.  A single
+evaluation turns the engine's returned mantissa into its value with the
+same call as the table's last row, so it has that row's bits.  The raw
 polynomials share one loop too, ``_raw_recurrence``: each family supplies
 only the coefficients of its plain recurrence, and the loop renormalizes
 the pair by a power of two at every step and counts the exponent apart;
@@ -68,22 +70,19 @@ __all__ = [
     "sph_harm_all",
 ]
 
-# Mantissa pairs are renormalized into [1/_RESCALE, _RESCALE] as recurrences
-# run; a power of two, 2**_RESCALE_EXP, so a rescale of a normal double is
-# exact.
-_RESCALE_EXP = 930
-_RESCALE = 2.0**_RESCALE_EXP
-# Log growth or shrinkage a renormalized pair can take before it could leave
-# the normal double range: about 63.7 (shrinking, to the smallest normal
-# double) against 65.2 (growing, to the largest).
-_HEADROOM = min(
-    math.log(sys.float_info.max / _RESCALE), math.log(1.0 / (_RESCALE * sys.float_info.min))
-)
+# A rescale puts the larger magnitude of each point's mantissa pair in
+# [1/2, 1).  From there the recurrence lets a pair's log grow or shrink by at
+# most this budget, 929 ln 2 (about 644), before it rescales again, so every
+# pair stays within [2^-930, 2^929]: normal doubles, with 2^94 of room above
+# for the callers' arithmetic on the returned pair.
+_HEADROOM = 929 * math.log(2.0)
 
 # The engines give points with |xi| or rho above this the value 0 (log offset
 # -inf, recurrence run at a stand-in point): there exp(-xi^2/2) or
 # exp(-rho/2) puts every order the recurrence can reach below the double
-# range, and one step from a mantissa near _RESCALE could overflow.
+# range.  The stand-in keeps the growth bound of the other points: at the
+# point itself one step could grow a pair about |xi|- or rho-fold, beyond the
+# whole _HEADROOM past about 1e279.
 _FAR_ARG = 1e28
 
 # Values per block of recurrence coefficients: the coefficient buffer stays
@@ -95,7 +94,8 @@ _MATERIALIZE_CELLS = 2**15
 # about 2^-86.
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # Start offsets are clamped to this many nats, an exponent of about -1.55e9,
-# so an exponent stays within np.intc through more than 600,000 rescales.
+# so an exponent stays within np.intc through more than 600,000 rescales,
+# each of which moves it by at most 930.
 # From there the recurrence would need about 10^9 nats of growth, over a
 # million steps, to reach the double range, so every order of such a point
 # is 0, as beyond _FAR_ARG (offset -inf).
@@ -187,8 +187,8 @@ def hermite_function(n: int, xi):
     """
     _check_degree(n)
     arr = _check_not_nan(np.asarray(xi, dtype=float))
-    v, _, e = _hermite_engine(n, arr.ravel())
-    out = _materialize(v, 1.0, e).reshape(arr.shape)
+    v, _, c, e = _hermite_engine(n, arr.ravel())
+    out = _materialize(v, c, e).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -210,10 +210,10 @@ def _hermite_offset(xi):
 def _hermite_engine(n_max, xi, table=None):
     """Run the normalized Hermite recurrence with per-point rescaling.
 
-    Returns (v_n, v_{n-1}, e): the top two orders as mantissas sharing the
-    per-point integer exponent e, h_n = v_n 2^e, so ratios of same-point
-    values are exact.  A given ``table`` of shape (n_max+1, npts) receives
-    every order's values.
+    Returns (v_n, v_{n-1}, c, e): the top two orders as raw mantissas
+    sharing the per-point factor c and integer exponent e, h_n = v_n c 2^e,
+    so ratios of same-point values are exact.  A given ``table`` of shape
+    (n_max+1, npts) receives every order's values.
     """
     far = np.abs(xi) > _FAR_ARG
     xi = np.where(far, 0.0, xi)
@@ -266,8 +266,8 @@ def laguerre_function(n: int, alpha: float, rho):
     an ndarray.
     """
     rho, origin, at_origin = _laguerre_points(n, alpha, rho)
-    v, _, e = _laguerre_engine(n, alpha, rho.ravel())
-    out = np.where(origin, at_origin, _materialize(v, 1.0, e).reshape(rho.shape))
+    v, _, c, e = _laguerre_engine(n, alpha, rho.ravel())
+    out = np.where(origin, at_origin, _materialize(v, c, e).reshape(rho.shape))
     return float(out) if rho.ndim == 0 else out
 
 
@@ -485,47 +485,36 @@ def _raw_recurrence(steps, e):
     return vk, e
 
 
-def _rescale_steps(a_max, b):
-    """Steps k before which a recurrence v_{k+1} = a_k v_k - b_k v_{k-1},
-    with |a_k| <= a_max[k] at every point, renormalizes.
-
-    In one step max(|v_k|, |v_{k-1}|) grows by at most a_max + b and shrinks
-    by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
-    shrink).  The logs of these bounds are spent from a budget of _HEADROOM
-    that each renormalization refills, so no pair leaves the normal double
-    range.  The public evaluators refuse nan points, so every bound is a
-    number.
-    """
-    shrink = np.divide(2.0 * np.maximum(1.0, a_max), b, out=np.ones_like(b), where=b > 0.0)
-    steps, budget = set(), _HEADROOM
-    for k, growth in enumerate(np.log(np.maximum(a_max + b, shrink)).tolist()):
-        if not growth <= budget:
-            steps.add(k)
-            budget = _HEADROOM
-        budget -= growth
-    return steps
-
-
 def _recurrence(s, fill, b, a_max, table=None):
     """The one loop of both engines: v_{k+1} = a_k v_k - b_k v_{k-1} from
     v_0 = 1, v_{-1} = 0 at the points of the log offset s, where
     ``fill(k0, k1, out)`` writes the arrays a_k of steps k0 <= k < k1 into
-    the rows of ``out`` and |a_k| <= a_max[k], the bound the growth budget
-    spends.  The a_k are made a block of rows at a time in one buffer, in
-    the dtype of b, that every block reuses: at most _MATERIALIZE_CELLS
-    values, or one row where the points alone are more.  Each offset,
-    clamped to _MIN_OFFSET, is split once into c 2^e (module docstring).  A
-    table receives each order's raw mantissa as the loop runs, and its rows
-    become values in place, with the exponent they share, at each rescale
-    and once at the end.  Returns (v_n c, v_{n-1} c, e) and fills ``table``
-    as :func:`_hermite_engine` documents."""
+    the rows of ``out`` and |a_k| <= a_max[k].  The a_k are made a block of
+    rows at a time in one buffer, in the dtype of b, that every block reuses:
+    at most _MATERIALIZE_CELLS values, or one row where the points alone are
+    more.  Each offset, clamped to _MIN_OFFSET, is split once into c 2^e
+    (module docstring).
+
+    In one step max(|v_k|, |v_{k-1}|) grows by at most a_max + b and shrinks
+    by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
+    shrink).  The logs of these bounds are spent from a budget of _HEADROOM;
+    before a step that would overspend it, every pair is renormalized and
+    the budget refilled, so no pair leaves [2^-930, 2^929].  The public
+    evaluators refuse nan points, so every bound is a number.  A table
+    receives each order's raw mantissa as the loop runs, and its rows become
+    values in place, with the exponent they share, at each rescale and once
+    at the end.  Returns (v_n, v_{n-1}, c, e): the top two orders as
+    mantissas, with the per-point factor and exponent they share, so that
+    the order-n value is v_n c 2^e, and fills ``table`` as
+    :func:`_hermite_engine` documents."""
     s = np.maximum(s, _MIN_OFFSET)
     e = np.floor(s / math.log(2.0))
     c, e = np.exp(s - e * _LN2_HI - e * _LN2_LO), e.astype(np.intc)
     vk, vkm1 = np.ones_like(c), np.zeros_like(c)
     if table is not None:
         table[0] = vk
-    rescale = _rescale_steps(a_max, b)
+    shrink = np.divide(2.0 * np.maximum(1.0, a_max), b, out=np.ones_like(b), where=b > 0.0)
+    growth, budget = np.log(np.maximum(a_max + b, shrink)).tolist(), _HEADROOM
     rows = max(1, _MATERIALIZE_CELLS // max(1, s.size))
     block = np.empty((min(rows, b.size), s.size), dtype=b.dtype)
     start = 0  # first table row still holding a raw mantissa
@@ -534,38 +523,31 @@ def _recurrence(s, fill, b, a_max, table=None):
         fill(k0, k1, block[: k1 - k0])
         # tolist gives Python floats for doubles, np.longdouble for long doubles
         for k, a, bk in zip(range(k0, k1), block, b[k0:k1].tolist()):
-            if k in rescale:
+            if not growth[k] <= budget:
                 if table is not None:
                     _materialize(table[start : k + 1], c, e)
                     start = k + 1
                 vk, vkm1, e = _renormalize(vk, vkm1, e)
+                budget = _HEADROOM
+            budget -= growth[k]
             vk, vkm1 = a * vk - bk * vkm1, vk
             if table is not None:
                 table[k + 1] = vk
     if table is not None:
         _materialize(table[start:], c, e)
-    vk, vkm1, e = _renormalize(vk, vkm1, e)
-    return vk * c, vkm1 * c, e
+    return vk, vkm1, c, e
 
 
 def _renormalize(vk, vkm1, e):
-    """Pull mantissa pairs back into [1/_RESCALE, _RESCALE] per point.
-
-    The recurrence loop calls this only when its growth budget runs out and
-    once before returning; a pair then lies within one factor _RESCALE of that
-    range.  One shift per point, +1 above it, -1 below it and 0 otherwise
-    (a zero pair included), scales the pair by the factor
-    2^(-shift _RESCALE_EXP) that np.ldexp forms and adds shift _RESCALE_EXP
-    to its exponent.  The power-of-two rescale changes no mantissa bit
-    (unless it takes the smaller value of a pair below the normal range,
-    where it rounds as a division by _RESCALE does).
+    """Scale each point's mantissa pair by the power of two that puts its
+    larger magnitude in [1/2, 1), np.frexp's exponent of that magnitude, and
+    add that power to the point's exponent.  A zero pair stays as it is.
+    The power-of-two rescale changes no mantissa bit (unless it takes the
+    smaller value of a pair below the normal range, where np.ldexp rounds
+    to even).
     """
-    mag = np.maximum(np.abs(vk), np.abs(vkm1))
-    shift = (mag > _RESCALE).astype(np.intc) - ((mag < 1.0 / _RESCALE) & (mag > 0.0))
-    if not shift.any():  # most calls: every pair is still in range
-        return vk, vkm1, e
-    scale = np.ldexp(1.0, -_RESCALE_EXP * shift)
-    return vk * scale, vkm1 * scale, e + _RESCALE_EXP * shift
+    shift = np.frexp(np.maximum(np.abs(vk), np.abs(vkm1)))[1]
+    return np.ldexp(vk, -shift), np.ldexp(vkm1, -shift), e + shift
 
 
 def _materialize(v, c, e):
