@@ -19,30 +19,32 @@ flushing to zero prematurely.  The start offset, the log of the order-0
 function, is split once per point into the factor c = exp(r), r in
 [0, ln 2), and the integer exponent e, with ln 2 in two parts (Cody & Waite,
 *Software Manual for the Elementary Functions*, 1980); the mantissa pair
-starts at (1, 0).  The exponent is adjusted on a growth budget, not on
-every step: the recurrence coefficients bound how far any point's mantissa
-pair can move in each step, and only before a step that could take one of
-them out of [2^-930, 2^929] is each pair rescaled by the power of two that
-puts its larger magnitude in [1/2, 1), a power that moves into e.  A
-power-of-two rescale changes no mantissa bit, so a value's bits do not
-depend on when its point was rescaled, nor on the other points of its
-call, which set the schedule.  One loop serves both families: each engine
-supplies only its start offset, its far-point stand-in, the coefficient
-arrays that the growth bound spends, and a function that forms the steps'
-arrays a_k from those arrays, a block of steps at a time into one buffer
-that the loop reuses.  The engines run in the dtype of their points, so
-long-double points get long-double coefficients and values; the public
-evaluators pass doubles.  A table receives each order's raw mantissa as the
-recurrence runs, and its rows are turned into values in place, with the
-scale they share, at each rescale and once at the end: two products by
-per-point factors, with no temporary the size of the rows.  A single
-evaluation turns the engine's returned mantissa into its value with the
-same call as the table's last row, so it has that row's bits.  The raw
-polynomials share one loop too, ``_raw_recurrence``: each family supplies
-only the coefficients of its plain recurrence, and the loop renormalizes
-the pair by a power of two at every step and counts the exponent apart;
-``*_poly`` returns the float (OverflowError outside the double range),
-``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
+starts at (1, 0).  A point whose offset is below _MIN_OFFSET, or nan, is
+dead, 0 at every order: its offset is clamped there and its recurrence runs
+at a stand-in point, which adds nothing to the growth bound.  The exponent
+is adjusted on a growth budget, not on every step: the recurrence
+coefficients bound how far any point's mantissa pair can move in each step,
+and only before a step that could take one of them out of [2^-930, 2^929] is
+each pair rescaled by the power of two that puts its larger magnitude in
+[1/2, 1), a power that moves into e.  A power-of-two rescale changes no
+mantissa bit, so a value's bits do not depend on when its point was
+rescaled, nor on the other points of its call, which set the schedule.  One
+loop serves both families: each engine supplies only its start offset, its
+dead-point stand-in, the coefficient arrays that the growth bound spends,
+and a function that forms the steps' arrays a_k from those arrays, a block
+of steps at a time into one buffer that the loop reuses.  The engines run in
+the dtype of their points, so long-double points get long-double
+coefficients and values; the public evaluators pass doubles.  A table
+receives each order's raw mantissa as the recurrence runs, and its rows are
+turned into values in place, with the scale they share, at each rescale and
+once at the end: a product by c and one np.ldexp by e, with no temporary the
+size of the rows.  A single evaluation turns the engine's returned mantissa
+into its value with the same call as the table's last row, so it has that
+row's bits.  The raw polynomials share one loop too, ``_raw_recurrence``:
+each family supplies only the coefficients of its plain recurrence, and the
+loop renormalizes the pair by a power of two at every step and counts the
+exponent apart; ``*_poly`` returns the float (OverflowError outside the
+double range), ``*_poly_scaled`` a ``PolyValue`` mantissa/log pair there.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ __all__ = [
 # for the callers' arithmetic on the returned pair.
 _HEADROOM = 929 * math.log(2.0)
 
-# The engines give points with |xi| or rho above this the value 0 (log offset
-# -inf, recurrence run at a stand-in point): there exp(-xi^2/2) or
-# exp(-rho/2) puts every order the recurrence can reach below the double
-# range.  The stand-in keeps the growth bound of the other points: at the
-# point itself one step could grow a pair about |xi|- or rho-fold, beyond the
-# whole _HEADROOM past about 1e279.
-_FAR_ARG = 1e28
-
 # Values per block of recurrence coefficients: the coefficient buffer stays
 # at 256 KB whatever the size of the table.
 _MATERIALIZE_CELLS = 2**15
@@ -98,7 +92,11 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # each of which moves it by at most 930.
 # From there the recurrence would need about 10^9 nats of growth, over a
 # million steps, to reach the double range, so every order of such a point
-# is 0, as beyond _FAR_ARG (offset -inf).
+# is 0.  The engines call a point dead when its offset is below this or nan
+# (rho = inf): |xi| above about 46,341, or rho above about 2^31 at moderate
+# alpha.  They run the recurrence at a stand-in point there, so that dead
+# points stay out of the growth bound: one step's bound is then at most about
+# 12 nats for Hermite and 23 for Laguerre at alpha = -0.9.
 _MIN_OFFSET = -(2.0**30)
 
 
@@ -213,11 +211,12 @@ def _hermite_engine(n_max, xi, table=None):
     Returns (v_n, v_{n-1}, c, e): the top two orders as raw mantissas
     sharing the per-point factor c and integer exponent e, h_n = v_n c 2^e,
     so ratios of same-point values are exact.  A given ``table`` of shape
-    (n_max+1, npts) receives every order's values.
+    (n_max+1, npts) receives every order's values.  Dead points, whose
+    offset is below _MIN_OFFSET, run the recurrence at xi = 0.
     """
-    far = np.abs(xi) > _FAR_ARG
-    xi = np.where(far, 0.0, xi)
-    s = np.where(far, -np.inf, _hermite_offset(xi))
+    with np.errstate(over="ignore"):
+        s = _hermite_offset(xi)
+    xi = np.where(s >= _MIN_OFFSET, xi, 0.0)
     steps = np.arange(n_max, dtype=np.result_type(xi, float))
     q = np.sqrt(2.0 / (steps + 1))
     a_max = np.max(np.abs(xi), initial=0.0) * q
@@ -305,15 +304,16 @@ def _laguerre_offset(alpha, rho):
 def _laguerre_engine(n_max, alpha, rho, table=None):
     """Normalized Laguerre recurrence with per-point rescaling (requires
     rho > 0 elementwise), returning and filling ``table`` as
-    :func:`_hermite_engine` does.
+    :func:`_hermite_engine` does.  Dead points, whose offset is below
+    _MIN_OFFSET or nan (rho = inf), run the recurrence at rho = 1.
 
     lf_{k+1} = A_k lf_k - B_k lf_{k-1} with
     A_k = (2k+1+alpha-rho)/sqrt((k+1)(k+1+alpha)) and
     B_k = sqrt(k(k+alpha)/((k+1)(k+1+alpha))).
     """
-    far = rho > _FAR_ARG
-    rho = np.where(far, 1.0, rho)
-    s = np.where(far, -np.inf, _laguerre_offset(alpha, rho))
+    with np.errstate(invalid="ignore"):
+        s = _laguerre_offset(alpha, rho)
+    rho = np.where(s >= _MIN_OFFSET, rho, 1.0)
     # |A_k| is largest at an end of the rho range, since A_k is linear in rho
     steps = np.arange(n_max, dtype=np.result_type(rho, float))
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
@@ -492,8 +492,8 @@ def _recurrence(s, fill, b, a_max, table=None):
     the rows of ``out`` and |a_k| <= a_max[k].  The a_k are made a block of
     rows at a time in one buffer, in the dtype of b, that every block reuses:
     at most _MATERIALIZE_CELLS values, or one row where the points alone are
-    more.  Each offset, clamped to _MIN_OFFSET, is split once into c 2^e
-    (module docstring).
+    more.  Each offset, clamped to _MIN_OFFSET (a nan offset too), is split
+    once into c 2^e (module docstring).
 
     In one step max(|v_k|, |v_{k-1}|) grows by at most a_max + b and shrinks
     by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
@@ -507,7 +507,7 @@ def _recurrence(s, fill, b, a_max, table=None):
     mantissas, with the per-point factor and exponent they share, so that
     the order-n value is v_n c 2^e, and fills ``table`` as
     :func:`_hermite_engine` documents."""
-    s = np.maximum(s, _MIN_OFFSET)
+    s = np.fmax(s, _MIN_OFFSET)
     e = np.floor(s / math.log(2.0))
     c, e = np.exp(s - e * _LN2_HI - e * _LN2_LO), e.astype(np.intc)
     vk, vkm1 = np.ones_like(c), np.zeros_like(c)
@@ -552,14 +552,11 @@ def _renormalize(vk, vkm1, e):
 
 def _materialize(v, c, e):
     """Turn raw mantissas v (a row, or rows) that share the per-point factor
-    c and exponent e into the values v c 2^e in place, and return v.  They
-    are formed as v (c 2^e0) 2^(e - e0), e0 the exponent clamped to
-    [-1022, 1022], so that neither factor leaves the double range: two
-    products by per-point arrays, with no temporary the size of v.  A zero
+    c and exponent e into the values v c 2^e in place, and return v: one
+    product by c, then one np.ldexp by e, which rounds only where the value
+    leaves the normal range, with no temporary the size of v.  A zero
     mantissa gives +0.0 whatever its sign, as it did when values were formed
     through logs; a negative value that underflows gives -0.0."""
-    e0 = np.minimum(np.maximum(e, -1022), 1022)
     v += 0.0
-    v *= np.ldexp(c, e0)
-    v *= np.ldexp(1.0, e - e0)
-    return v
+    v *= c
+    return np.ldexp(v, e, out=v)

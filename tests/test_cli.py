@@ -394,6 +394,15 @@ def test_greens_radial(capsys):
     assert float(dict(zip(header, rows[0]))["max_coefficient_deviation"]) <= 1e-9
 
 
+@pytest.mark.parametrize("sector", [[], ["--dimension", "radial", "--ell", "2"]], ids=["1d", "radial"])
+def test_greens_energy_beyond_the_double_range_is_numeric_error(capsys, sector):
+    """m w = 1e400 overflows E_n^2 in both sectors: exit 3, not a report."""
+    argv = ["greens", "--mass", "1e200", "--frequency", "1e200", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"]
+    code, out, err = run_cli(capsys, *argv, *sector)
+    assert (code, out) == (3, "")
+    assert err == "kgo: numeric contract violation: E_n^2 exceeds the double range\n"
+
+
 def test_greens_pole_is_dedicated_exit_code(capsys):
     code, _, err = run_cli(
         capsys,

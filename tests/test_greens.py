@@ -9,12 +9,14 @@ import pytest
 from kgo import (
     Branch,
     GreensQuery,
+    OscillatorParams,
     PoleProximityError,
     coefficient_deviation_1d,
     coefficient_deviation_radial,
     eigenfunction_1d,
     energy_1d,
     energy_3d,
+    gauss_hermite,
     gauss_laguerre,
     greens_1d,
     greens_3d_partial_wave,
@@ -99,6 +101,24 @@ def test_coefficient_deviation_checks_k_max(unit_params, gh64, k_max):
     with pytest.raises(ValueError) as info:
         coefficient_deviation_radial(unit_params, 2, query, 0.3, gauss_laguerre(41, 2.5), k_max)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda p, q: greens_1d(p, q, 0.2, 0.3),
+        lambda p, q: greens_3d_partial_wave(p, 2, q, 0.2, 0.3),
+        lambda p, q: coefficient_deviation_1d(p, q, 0.3, gauss_hermite(16), 5),
+        lambda p, q: coefficient_deviation_radial(p, 2, q, 0.3, gauss_laguerre(16, 2.5), 5),
+    ],
+    ids=["greens_1d", "greens_3d_partial_wave", "coefficient_deviation_1d", "coefficient_deviation_radial"],
+)
+def test_energy_beyond_the_double_range_is_refused(evaluate):
+    """At m = w = 1e200, m w = 1e400 overflows E_n^2 = m^2 + 2 m w n to inf
+    (and 0 * inf to nan at n = 0): every Green's entry point raises
+    OverflowError rather than summing over infinite denominators."""
+    with pytest.raises(OverflowError, match=r"^E_n\^2 exceeds the double range$"):
+        evaluate(OscillatorParams(1e200, 1e200), GreensQuery(7.3, 25, 0.05))
 
 
 def test_pole_guard_names_level(unit_params):

@@ -26,6 +26,7 @@ from kgo import (
     closure_kernel_1d,
     coefficient_deviation_radial,
     degeneracy,
+    eigenfunction_1d,
     energy_3d,
     full_eigenfunction,
     full_eigenfunction_origin,
@@ -34,6 +35,7 @@ from kgo import (
     greens_3d_partial_wave,
     hermite_function_table,
     laguerre_function_table,
+    legendre_p,
     project_radial,
     radial_closure_kernel,
     radial_eigenfunction,
@@ -464,6 +466,44 @@ def test_reconstruct_radial_requires_ell(unit_params, gh32):
     proj = project_1d(unit_params, 4, lambda x: 0.0, gh32)
     with pytest.raises(ValueError):
         reconstruct_radial(proj, 1.0)
+
+
+# Shell-projector bound, in eps times the summed magnitudes of both forms'
+# terms: at 20 pairs each of seeds 0-109 the error reached 157 (16 at the
+# pairs below).
+SHELL_EPS = 400.0
+
+
+def test_shell_projector_cartesian_equals_spherical():
+    """The projector onto shell N = 2 n_r + ell, N <= 64, written two ways:
+    sum_{n1+n2+n3=N} prod_i psi_{n_i}(x_i) psi_{n_i}(x'_i), the coefficient of
+    z^N in the product of the three axes' series sum_n psi_n(x_i) psi_n(x'_i) z^n,
+    equals sum_ell R_{n_r ell}(r) R_{n_r ell}(r') / (r r') (2 ell + 1) / (4 pi)
+    P_ell(cos gamma), at 20 point pairs with m = 1.3, w = 0.7, within
+    SHELL_EPS eps times the summed magnitudes of both forms' terms.  It ties
+    the 1D sector to the radial one at every ell up to 64 and n_r up to 32,
+    through public functions only."""
+    params, top = OscillatorParams(1.3, 0.7), 64
+    p, q = np.random.default_rng(2026).uniform(-6.0, 6.0, (2, 20, 3))
+    psi = np.array([eigenfunction_1d(params, n, np.stack([p, q])) for n in range(top + 1)])
+    axes = psi[:, 0] * psi[:, 1]  # (n, pair, axis)
+    cartesian, cartesian_mag = np.empty((2, top + 1, 20))
+    for j in range(20):
+        for out, a in ((cartesian, axes[:, j]), (cartesian_mag, np.abs(axes[:, j]))):
+            out[:, j] = np.convolve(np.convolve(a[:, 0], a[:, 1]), a[:, 2])[: top + 1]
+    r, r2 = np.linalg.norm(p, axis=1), np.linalg.norm(q, axis=1)
+    cos_gamma = np.clip(np.sum(p * q, axis=1) / (r * r2), -1.0, 1.0)
+    spherical, spherical_mag = np.zeros((2, top + 1, 20))
+    for ell in range(top + 1):
+        angular = (2 * ell + 1) / (4 * math.pi) * legendre_p(ell, cos_gamma) / (r * r2)
+        for n_r in range((top - ell) // 2 + 1):
+            radial = radial_eigenfunction(params, n_r, ell, np.concatenate([r, r2]))
+            term = radial[:20] * radial[20:] * angular
+            spherical[2 * n_r + ell] += term
+            spherical_mag[2 * n_r + ell] += np.abs(term)
+    bound = SHELL_EPS * np.finfo(float).eps * (cartesian_mag + spherical_mag)
+    error = np.abs(cartesian - spherical)
+    assert np.all(error <= bound), np.max(error / bound)
 
 
 # ---------------------------------------------------------------------------

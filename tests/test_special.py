@@ -153,7 +153,8 @@ def test_nan_point_is_refused(evaluate):
             evaluate()
 
 
-# every quarter decade from 1e-3 to 1e28, where the engines switch to 0
+# every quarter decade from 1e-3 to 1e28, across the floor where points die
+# (|xi| near 46,341, rho near 2^31)
 SCALES = [10.0**k for k in np.arange(-3.0, 28.01, 0.25)] + [9.99e27]
 
 
@@ -182,15 +183,37 @@ def test_table_rows_do_not_depend_on_table_size():
             assert big_l[: n + 1].tobytes() == laguerre_function_table(n, alpha, rho).tobytes(), (n, alpha)
 
 
+# |xi| just inside and just past the floor: the Hermite start offset
+# -xi^2/2 - log(pi)/4 crosses _MIN_OFFSET = -2^30 near |xi| = 46,341.
+XI_LIVE, XI_DEAD = 46340.0, 46342.0
+
+
+def _floor_rho(alpha):
+    """The rho where the Laguerre start offset
+    -rho/2 + (alpha/2) log rho - log Gamma(alpha + 1)/2 crosses _MIN_OFFSET,
+    rho = 2^31 + alpha log rho - log Gamma(alpha + 1), by fixed-point steps."""
+    rho = 2.0**31
+    for _ in range(4):
+        rho = 2.0**31 + alpha * math.log(rho) - math.lgamma(alpha + 1.0)
+    return rho
+
+
+def _around_floor(alphas):
+    """rho one below and one above the floor at each alpha."""
+    return [_floor_rho(alpha) + d for alpha in alphas for d in (-1.0, 1.0)]
+
+
 # Points for the batch test: the oscillatory region and its tails, where
 # deep start offsets meet large growth (|xi| near 36 and beyond), every
-# magnitude up to and beyond _FAR_ARG, and the origin.  The Laguerre points
-# are their squares, so they reach the Laguerre tails too.
+# magnitude up to the floor and beyond it, and the origin.  The Laguerre
+# points are their squares, so they reach the Laguerre tails too; the squares
+# of XI_LIVE and XI_DEAD lie on each side of the Laguerre floor at every
+# alpha of the test.
 BATCH_POINTS = st.one_of(
     st.floats(-45.0, 45.0),
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(30.0, 45.0)).map(lambda t: t[0] * t[1]),
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 30.0)).map(lambda t: t[0] * 10.0 ** t[1]),
-    st.sampled_from([0.0, -0.0, 1e3, 1e10, 1e27, special._FAR_ARG, -special._FAR_ARG, 1e30]),
+    st.sampled_from([0.0, -0.0, 1e3, 1e10, 1e27, XI_LIVE, -XI_LIVE, XI_DEAD, -XI_DEAD, 1e28, -1e28, 1e30]),
 )
 
 
@@ -302,11 +325,15 @@ def test_renormalization_runs_on_a_budget(monkeypatch):
 
 # Point sets for the chunking test: moderate ones, which rescale once over
 # the table, and wide ones up to 1e12, which rescale every 25 or so steps;
-# each has the origin and points beyond _FAR_ARG.
-MODERATE_XI = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, -0.0, 3e28, -1e29, 1e300]])
-WIDE_XI = np.concatenate([[0.0, -0.0, 1e29, -1e30], np.geomspace(1e-3, 1e12, 600), -np.geomspace(1e-3, 1e12, 600)])
-MODERATE_RHO = np.concatenate([np.linspace(0.0, 1500.0, 2001), [3e28, 1e300]])
-WIDE_RHO = np.concatenate([[0.0, 1e29], np.geomspace(1e-3, 1e12, 1200)])
+# each has the origin and dead points, just past the floor and far beyond
+# it, and the wide ones have points just inside the floor too.
+CHUNK_ALPHAS = (-0.5, 0.5, 64.5)
+MODERATE_XI = np.concatenate([np.linspace(-30.0, 30.0, 2001), [0.0, -0.0, XI_DEAD, -XI_DEAD, 3e28, -1e29, 1e300]])
+WIDE_XI = np.concatenate(
+    [[0.0, -0.0, XI_LIVE, -XI_DEAD, 1e29, -1e30], np.geomspace(1e-3, 1e12, 600), -np.geomspace(1e-3, 1e12, 600)]
+)
+MODERATE_RHO = np.concatenate([np.linspace(0.0, 1500.0, 2001), [_floor_rho(max(CHUNK_ALPHAS)) + 1.0, 3e28, 1e300]])
+WIDE_RHO = np.concatenate([[0.0, 1e29], _around_floor(CHUNK_ALPHAS), np.geomspace(1e-3, 1e12, 1200)])
 
 
 @pytest.mark.parametrize(
@@ -325,7 +352,7 @@ WIDE_RHO = np.concatenate([[0.0, 1e29], np.geomspace(1e-3, 1e12, 1200)])
                 lambda xi, rho, alpha=alpha: special._laguerre_offset(alpha, rho),
                 lambda xi, rho: rho != 0.0,
             )
-            for alpha in (-0.5, 0.5, 64.5)
+            for alpha in CHUNK_ALPHAS
         ),
     ],
     ids=["hermite", "laguerre-neg-half", "laguerre-half", "laguerre-64.5"],
@@ -336,7 +363,7 @@ def test_chunked_materialize_matches_row_by_row(monkeypatch, build, engine, offs
     before every step, whose rows become values one per call: a rescale
     moves only the exponents, so when it comes changes no bit.  Row 0, alone
     the whole n_max = 0 table, is c 2^e from the split of the start offset
-    (0 beyond _FAR_ARG; the origin's limit is set apart): c in [1, 2) and
+    (0 at dead points; the origin's limit is set apart): c in [1, 2) and
     c 2^e within 1e-12 of exp(offset) wherever that is a normal double."""
     blocks = _record_blocks(monkeypatch)
     point_sets = (MODERATE_XI, MODERATE_RHO), (WIDE_XI, WIDE_RHO)
@@ -387,21 +414,27 @@ def test_table_memory_stays_near_the_table(build):
     assert peak <= 1.10 * table.nbytes, peak / table.nbytes
 
 
-# Point sets for the budget test: the origin, mixed magnitudes, and points
-# beyond _FAR_ARG, where the engines run the recurrence at a stand-in point.
-BUDGET_XI = np.array([0.0, -0.0, 1e-3, -0.7, 5.0, -30.0, 1e3, -1e12, 1e20, 2e28, -1e29, 1e300, np.inf, -np.inf])
-BUDGET_RHO = np.array([0.0, 1e-3, 0.7, 5.0, 900.0, 1e6, 1e12, 2e28, 1e300, np.inf])
+# Point sets for the budget test: the origin, mixed magnitudes, points on
+# each side of the floor (for rho, at each alpha of the test) and far beyond
+# it, where the engines run the recurrence at a stand-in point.
+BUDGET_FAMILIES = ["hermite", "-0.5", "0", "0.5", "64.5", "1e3"]
+BUDGET_ALPHAS = [float(family) for family in BUDGET_FAMILIES[1:]]
+BUDGET_XI = np.array(
+    [0.0, -0.0, 1e-3, -0.7, 5.0, -30.0, 1e3, -1e12, XI_LIVE, -XI_LIVE, XI_DEAD, -XI_DEAD]
+    + [1e20, 1e28, 2e28, -1e29, -1e30, 1e300, np.inf, -np.inf]
+)
+BUDGET_RHO = np.array([0.0, 1e-3, 0.7, 5.0, 900.0, 1e6, 1e12, *_around_floor(BUDGET_ALPHAS), 1e28, 1e30, 1e300, np.inf])
 
 
 def _record_recurrences(monkeypatch):
     """Wrap special._recurrence; the returned list gets, per engine run, the
     a_k arrays the loop applied (copies of the rows its block function
-    wrote), its b, and the (a_max, b) pair the growth budget was given."""
+    wrote), and the a_max and b it was given."""
     runs = []
     recurrence = special._recurrence
 
     def recorded_recurrence(s, fill, b, a_max, table=None):
-        run = {"a": [], "b": b.copy(), "budget": (a_max.copy(), b.copy())}
+        run = {"a": [], "a_max": a_max.copy(), "b": b.copy()}
         runs.append(run)
 
         def recorded_fill(k0, k1, out):
@@ -414,31 +447,63 @@ def _record_recurrences(monkeypatch):
     return runs
 
 
+def _live(family, points):
+    """The mask of the points whose start offset is at least _MIN_OFFSET; the
+    Laguerre engine runs the origin at its stand-in 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family == "hermite":
+            s = special._hermite_offset(points)
+        else:
+            s = special._laguerre_offset(float(family), np.where(points == 0.0, 1.0, points))
+    return s >= special._MIN_OFFSET
+
+
 @pytest.mark.parametrize("n", [0, 1, 300])
-@pytest.mark.parametrize("family", ["hermite", "-0.5", "0", "0.5", "64.5", "1e3"])
+@pytest.mark.parametrize("family", BUDGET_FAMILIES)
 def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
-    """Whatever the points, each step's |a_k| at every non-far point is within
-    the a_max[k] the growth budget spent, and the b_k the loop applies are
-    the entries the budget was given, in tables and single evaluations."""
+    """Whatever the points, each step's |a_k| at every live point is within
+    the a_max[k] the growth budget spent, and the b_k that the budget and the
+    steps share are their closed form within 2 ulp, sqrt(k/(k+1)) for
+    Hermite and sqrt(k(k+alpha)/((k+1)(k+1+alpha))) for Laguerre, in tables
+    and single evaluations."""
     runs = _record_recurrences(monkeypatch)
+    steps = np.arange(n, dtype=float)
     if family == "hermite":
         points = BUDGET_XI
         hermite_function_table(n, points)
         hermite_function(n, points)
-        near = np.abs(points) <= special._FAR_ARG
+        closed = np.sqrt(steps / (steps + 1))
     else:
-        points = BUDGET_RHO
-        laguerre_function_table(n, float(family), points)
-        laguerre_function(n, float(family), points)
-        near = points <= special._FAR_ARG
+        points, alpha = BUDGET_RHO, float(family)
+        laguerre_function_table(n, alpha, points)
+        laguerre_function(n, alpha, points)
+        closed = np.sqrt(steps * (steps + alpha) / ((steps + 1) * (steps + 1 + alpha)))
+    live = _live(family, points)
+    assert 0 < np.count_nonzero(live) < points.size
     assert len(runs) == 2
     for run in runs:
-        a_max, b = run["budget"]
+        a_max, b = run["a_max"], run["b"]
         assert len(run["a"]) == len(a_max) == len(b) == n
-        assert run["b"].tobytes() == b.tobytes()
+        assert np.all(np.abs(b - closed) <= 2 * np.spacing(closed)), np.abs(b - closed) / np.spacing(closed)
         for k, a in enumerate(run["a"]):
             assert a.shape == points.shape
-            assert np.all(np.abs(a[near]) <= a_max[k]), (k, a[near], a_max[k])
+            assert np.all(np.abs(a[live]) <= a_max[k]), (k, a[live], a_max[k])
+
+
+@pytest.mark.parametrize("family", ["hermite", "-0.5", "0.5", "64.5"])
+def test_dead_points_stay_out_of_the_growth_bound(monkeypatch, family):
+    """A dead point adds nothing to the growth bound: the a_max that the
+    recurrence gets for a table at [1, 1e20] is, byte for byte, the one at
+    [1] alone.  Neither stand-in widens the range of 1: 1 is the Laguerre
+    stand-in, and the Hermite stand-in 0 lies below it in |xi|."""
+    runs = _record_recurrences(monkeypatch)
+    for points in ([1.0], [1.0, 1e20]):
+        if family == "hermite":
+            hermite_function_table(300, points)
+        else:
+            laguerre_function_table(300, float(family), points)
+    alone, with_dead = runs
+    assert with_dead["a_max"].tobytes() == alone["a_max"].tobytes()
 
 
 def _rule_bytes(build):
