@@ -24,6 +24,7 @@ Output is deterministic: identical invocations produce identical bytes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -300,62 +301,115 @@ def cmd_greens(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kgo",
-        description="Klein-Gordon oscillator eigenbasis verification experiments",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mass", type=float, default=1.0, help="particle mass (natural units)")
-    common.add_argument("--frequency", type=float, default=1.0, help="oscillator frequency")
-    common.add_argument(
+def _common_options(parser):
+    parser.add_argument("--mass", type=float, default=1.0, help="particle mass (natural units)")
+    parser.add_argument("--frequency", type=float, default=1.0, help="oscillator frequency")
+    parser.add_argument(
         "--convention",
         choices=[c.value for c in SpectrumConvention],
         default=SpectrumConvention.ODE_DERIVED.value,
         help="spectrum convention (default: ode-derived)",
     )
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
-    # the rule-based commands work in one sector: 1D, or radial at one ell
-    sector = argparse.ArgumentParser(add_help=False)
-    sector.add_argument("--dimension", choices=["1d", "radial"], default="1d")
-    sector.add_argument("--ell", type=int, default=None)
-    sector.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
 
-    sub = parser.add_subparsers(dest="command", required=True)
+def _sector_options(parser):
+    """The options of the rule-based commands, which work in one sector: 1D,
+    or radial at one ell."""
+    _common_options(parser)
+    parser.add_argument("--dimension", choices=["1d", "radial"], default="1d")
+    parser.add_argument("--ell", type=int, default=None)
+    parser.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
 
-    sp = sub.add_parser("spectrum", parents=[common], help="energy table")
-    sp.add_argument("--dimension", choices=["1d", "3d"], default="1d")
-    sp.add_argument("--n-max", type=int, default=10)
-    sp.set_defaults(run=cmd_spectrum)
 
-    orth = sub.add_parser("orthonormality", parents=[common, sector], help="Gram-matrix check")
-    orth.add_argument("--n-max", type=int, default=50)
-    orth.set_defaults(run=cmd_orthonormality)
+def _spectrum_options(parser):
+    _common_options(parser)
+    parser.add_argument("--dimension", choices=["1d", "3d"], default="1d")
+    parser.add_argument("--n-max", type=int, default=10)
 
-    clo = sub.add_parser("closure", parents=[common, sector], help="weak-closure reconstruction ladder")
-    clo.add_argument("--truncations", default="10,20,40", help="comma-separated truncation orders")
-    clo.add_argument("--test-function", default="gaussian", help="catalogue id (see README)")
-    clo.set_defaults(run=cmd_closure)
 
-    deg = sub.add_parser("degeneracy", parents=[common], help="shell degeneracy table")
-    deg.add_argument("--n-max", type=int, default=10)
-    deg.set_defaults(run=cmd_degeneracy)
+def _orthonormality_options(parser):
+    _sector_options(parser)
+    parser.add_argument("--n-max", type=int, default=50)
 
-    gre = sub.add_parser("greens", parents=[common, sector], help="spectral Green's function")
-    gre.add_argument("--energy-sq", type=float, required=True, help="probe energy squared")
-    gre.add_argument("--x1", type=float, required=True, help="first position (radius for radial)")
-    gre.add_argument("--x2", type=float, required=True, help="second position (radius for radial)")
-    gre.add_argument("--n-max", type=int, default=25)
-    gre.add_argument("--pole-guard", type=float, default=1e-6)
-    gre.set_defaults(run=cmd_greens)
+
+def _closure_options(parser):
+    _sector_options(parser)
+    parser.add_argument("--truncations", default="10,20,40", help="comma-separated truncation orders")
+    parser.add_argument("--test-function", default="gaussian", help="catalogue id (see README)")
+
+
+def _degeneracy_options(parser):
+    _common_options(parser)
+    parser.add_argument("--n-max", type=int, default=10)
+
+
+def _greens_options(parser):
+    _sector_options(parser)
+    parser.add_argument("--energy-sq", type=float, required=True, help="probe energy squared")
+    parser.add_argument("--x1", type=float, required=True, help="first position (radius for radial)")
+    parser.add_argument("--x2", type=float, required=True, help="second position (radius for radial)")
+    parser.add_argument("--n-max", type=int, default=25)
+    parser.add_argument("--pole-guard", type=float, default=1e-6)
+
+
+# name -> (help line, options, handler), in the order of the help listing
+_COMMANDS = {
+    "spectrum": ("energy table", _spectrum_options, cmd_spectrum),
+    "orthonormality": ("Gram-matrix check", _orthonormality_options, cmd_orthonormality),
+    "closure": ("weak-closure reconstruction ladder", _closure_options, cmd_closure),
+    "degeneracy": ("shell degeneracy table", _degeneracy_options, cmd_degeneracy),
+    "greens": ("spectral Green's function", _greens_options, cmd_greens),
+}
+
+
+def _fill(parser, name):
+    _, options, run = _COMMANDS[name]
+    options(parser)
+    parser.set_defaults(command=name, run=run)
     return parser
 
 
-# the parser every in-process main call shares, built on the first
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    """A new full parser: ``kgo`` with every command as a subparser."""
+    parser = argparse.ArgumentParser(
+        prog="kgo",
+        description="Klein-Gordon oscillator eigenbasis verification experiments",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=summary), name)
+    return parser
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser alone.  It prints no error: it raises, and
+    main() hands the argv to the full parser, which prints and exits as it
+    always has (its top level, say, finds ``--=x`` ambiguous first)."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _command_parser(name):
+    """The parser of one command alone, shared by every in-process call: it
+    has the options, prog and help of that command's subparser."""
+    return _fill(_CommandParser(prog=f"kgo {name}"), name)
+
+
+def _parse(argv):
+    """The namespace of an argv that names a command, from that command's
+    parser alone; help, --version, no or an unknown command, an argument
+    left over and every error go to a new full parser."""
+    if argv and argv[0] in _COMMANDS:
+        with contextlib.suppress(argparse.ArgumentError):
+            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+            if not extra:
+                return args
+    return build_parser().parse_args(argv)
 
 
 def _run(args) -> int:
@@ -373,7 +427,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return _run(args)
     except PoleProximityError as exc:

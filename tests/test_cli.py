@@ -562,7 +562,7 @@ def test_readme_cli_examples_run_and_repeat(capsys):
 
 
 def _clear_process_caches():
-    cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     quadrature._hermite_nodes.cache_clear()
     quadrature._laguerre_nodes.cache_clear()
 
@@ -581,6 +581,49 @@ SHARED_STATE_JOBS = [
 
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
+
+
+GREENS = ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"]
+PARSER_ARGVS = [
+    *([command, "-h"] for command in ("spectrum", "orthonormality", "closure", "degeneracy", "greens")),
+    ["--version"],
+    [],
+    ["no-such-command"],
+    # left over or rejected: the full parser reports them
+    [*GREENS, "--bogus"],
+    [*GREENS, "extra"],
+    ["greens", "--energy-sq", "abc", "--x1", "0.2", "--x2", "0.3"],
+    ["spectrum", "--dimension", "2d"],
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2"],
+    [*GREENS, "--", "0.5"],
+    ["greens", "--energy", "7.3", "--x1", "0.2", "--x2", "0.3"],
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2=0.3"],
+    ["greens", "--energy-sq", "7.3", "--x1", "-0.2", "--x2", "0.3"],
+    ["--mass", "2", *GREENS],
+    # ambiguous at the full parser's top level (--help or --version) first
+    [*GREENS, "--=x"],
+    *ONE_PER_COMMAND,
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_command_parsers_agree_with_the_full_parser(monkeypatch, argv):
+    """main parses an argv that names a command with that command's parser
+    alone; through the full parser it prints the same stdout and stderr and
+    exits with the same code, argparse's own exits included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = _run_in_process(argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert _run_in_process(argv) == alone
+
+
+@pytest.mark.parametrize("argv", [*ONE_PER_COMMAND, ["greens", "-h"]], ids=lambda argv: " ".join(argv))
+def test_a_parsed_command_builds_no_full_parser(monkeypatch, argv):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    assert _run_in_process(argv)[0] == 0
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])

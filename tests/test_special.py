@@ -518,34 +518,50 @@ def _rule_bytes(build):
 
 
 def _evaluations(n, alpha):
+    """Each family's point count, with a run of its table and single
+    evaluations at order n on those points."""
     return [
-        hermite_function_table(n, BUDGET_XI).tobytes(),
-        hermite_function(n, BUDGET_XI).tobytes(),
-        laguerre_function_table(n, alpha, BUDGET_RHO).tobytes(),
-        laguerre_function(n, alpha, BUDGET_RHO).tobytes(),
+        (
+            BUDGET_XI.size,
+            lambda: [hermite_function_table(n, BUDGET_XI).tobytes(), hermite_function(n, BUDGET_XI).tobytes()],
+        ),
+        (
+            BUDGET_RHO.size,
+            lambda: [
+                laguerre_function_table(n, alpha, BUDGET_RHO).tobytes(),
+                laguerre_function(n, alpha, BUDGET_RHO).tobytes(),
+            ],
+        ),
     ]
 
 
 @pytest.mark.parametrize(
-    "points, run",
+    "runs",
     [
         *(
-            pytest.param(BUDGET_XI.size, lambda n=n, alpha=alpha: _evaluations(n, alpha), id=f"n{n}-alpha{alpha}")
+            pytest.param(_evaluations(n, alpha), id=f"n{n}-alpha{alpha}")
             for n in (0, 1, 33, 300, 500)
             for alpha in (-0.5, 64.5)
         ),
-        pytest.param(72, lambda: _rule_bytes(lambda: quadrature.gauss_hermite(145)), id="gh145"),
-        pytest.param(144, lambda: _rule_bytes(lambda: quadrature.gauss_laguerre(144, 64.5)), id="gl144-64.5"),
+        # GH145 builds its nodes at the 73 non-negative ones
+        pytest.param([(73, lambda: _rule_bytes(lambda: quadrature.gauss_hermite(145)))], id="gh145"),
+        pytest.param([(144, lambda: _rule_bytes(lambda: quadrature.gauss_laguerre(144, 64.5)))], id="gl144-64.5"),
     ],
 )
-def test_coefficient_block_size_changes_no_byte(monkeypatch, points, run):
+def test_coefficient_block_size_changes_no_byte(monkeypatch, runs):
     """The steps' coefficients are formed a block of rows at a time; one row
-    per block, and blocks of three rows on `points` points (so a last
-    partial block and rescales at block edges), give the default's bytes."""
-    default = run()
-    for cells in (1, 3 * points + 1):
-        monkeypatch.setattr(special, "_MATERIALIZE_CELLS", cells)
-        assert run() == default, cells
+    per block, and blocks of three rows on each run's own `points` points,
+    give the default's bytes.  An order-n table or evaluation takes n steps,
+    so orders 1 and 500 end on a partial three-row block and 0, 33 and 300
+    do not; so do GH145's 145 steps at 73 points and GL144's 143-step table,
+    while its 144-step node build does not.  Orders 300 and 500 rescale
+    several times per table, at a block edge when a block is one row."""
+    for points, run in runs:
+        monkeypatch.undo()
+        default = run()
+        for cells in (1, 3 * points + 1):
+            monkeypatch.setattr(special, "_MATERIALIZE_CELLS", cells)
+            assert run() == default, (points, cells)
 
 
 # Largest distance, in double ulp of the root, of a node after one
@@ -768,6 +784,50 @@ def test_laguerre_function_table_matches_single_evaluations():
         table = laguerre_function_table(200, alpha, rho)
         for n in (0, 1, 40, 121, 200):
             assert table[n].tobytes() == laguerre_function(n, alpha, rho).tobytes(), (alpha, n)
+
+
+# Hille-Hardy bound, in eps times the sum of the terms' magnitudes: beyond
+# the tail bound, the error at 8,000 pairs of 40 seeds reached 268 (149 at
+# the pairs below).
+HILLE_HARDY_EPS = 500.0
+
+
+def _hille_hardy(alpha, t, x, y):
+    """sum_n t^n lf_n(x) lf_n(y) in closed form, from mpmath at 40 digits:
+    the exponent reaches about -6000, where a 53-bit argument would cost its
+    exponential 13 digits."""
+    with mpmath.workdps(40):
+        x, y, t = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(t)
+        kernel = t ** (-alpha / 2) / (1 - t) * mpmath.exp(-(x + y) * (1 + t) / (2 * (1 - t)))
+        return float(kernel * mpmath.besseli(alpha, 2 * mpmath.sqrt(x * y * t) / (1 - t)))
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 10.5, 64.5])
+def test_hille_hardy_formula_sums_the_laguerre_rows(alpha):
+    """sum_{n<=500} t^n lf_n(x) lf_n(y) at t = 0.9 equals the Hille-Hardy
+    closed form t^(-alpha/2) / (1 - t) exp(-(x + y)(1 + t) / (2 (1 - t)))
+    I_alpha(2 sqrt(x y t) / (1 - t)) at 40 pairs with 0 <= x, y <= 300,
+    within HILLE_HARDY_EPS eps times the sum of the terms' magnitudes plus
+    the tail beyond order 500.  By Cauchy-Schwarz the tail is at most
+    (t/s)^501 sqrt(K_s(x, x) K_s(y, y)) for s = 0.99, where K_s is the
+    closed form at s, a sum of terms >= 0 on the diagonal.  That bound lies
+    below eps times the magnitudes at every pair but three at alpha 64.5,
+    whose x y is so small that the rows still grow at order 500.  The rows
+    near order x/4 carry the sum, so with x, y <= 300 it sees a row scaled
+    by 1 + 1e-10 up to about order 100, and by 1 + 1e-6 at order 200 (at
+    three of the five alphas).  As for Mehler's formula at t = 0.9, a term
+    falls below eps from order 342 on: rows 400 and 500 show at no scale up
+    to 1 + 1e-2."""
+    t, s, n_max, pairs = 0.9, 0.99, 500, 40
+    x, y = np.random.default_rng(2026).uniform(0.0, 300.0, (2, pairs))
+    table = laguerre_function_table(n_max, alpha, np.concatenate([x, y]))
+    terms = t ** np.arange(n_max + 1)[:, None] * table[:, :pairs] * table[:, pairs:]
+    closed = np.array([_hille_hardy(alpha, t, a, b) for a, b in zip(x, y)])
+    diagonal_x, diagonal_y = (np.array([_hille_hardy(alpha, s, p, p) for p in points]) for points in (x, y))
+    tail = (t / s) ** (n_max + 1) * np.sqrt(diagonal_x * diagonal_y)
+    bound = HILLE_HARDY_EPS * np.finfo(float).eps * np.abs(terms).sum(axis=0) + tail
+    error = np.abs(terms.sum(axis=0) - closed)
+    assert np.all(error <= bound), np.max(error / bound)
 
 
 def test_laguerre_poly_scaled_roundtrip():

@@ -4,8 +4,10 @@ Runs every job that ``bench/workloads.generate`` makes for a range of seeds,
 in-process through ``kgo.cli.main``, once with ``--format csv`` and once with
 ``--format json``, and prints one line per workload: the job count, the
 histogram of exit codes and one SHA-256 over every run's stdout, stderr and
-exit code, in job order.  Two trees that print the same lines gave the same
-bytes on those jobs.
+exit code, in job order.  A last line digests, the same way, a fixed list of
+argvs that argparse itself answers: help, ``--version`` and rejected
+arguments, with the help wrapped at 80 columns.  Two trees that print the
+same lines gave the same bytes on those runs.
 
 Usage, from the root of a checkout:
 
@@ -23,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -34,6 +37,30 @@ import workloads  # noqa: E402
 from kgo import cli  # noqa: E402
 
 FORMATS = ("csv", "json")
+
+GREENS = ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"]
+PARSER_ARGVS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["no-such-command"],
+    ["--mass", "2", *GREENS],
+    *([command, "-h"] for command in ("spectrum", "orthonormality", "closure", "degeneracy", "greens")),
+    [*GREENS, "--bogus"],
+    [*GREENS, "extra"],
+    [*GREENS, "--", "0.5"],
+    [*GREENS, "--version"],
+    [*GREENS, "--=x"],
+    ["greens", "--energy-sq", "abc", "--x1", "0.2", "--x2", "0.3"],
+    ["greens", "--energy-sq", "7.3", "--x1", "0.2"],
+    ["greens", "--energy", "7.3", "--x1", "0.2", "--x2=abc"],
+    ["spectrum", "--dimension", "2d"],
+    ["spectrum", "--n-max"],
+    ["spectrum", "--n-max", "1.5"],
+    ["orthonormality", "--dimension", "radial", "--ell", "x"],
+    ["closure", "--bogus", "-h"],
+    ["degeneracy", "--n-max", "2", "--format", "xml"],
+]
 
 
 def run(argv):
@@ -47,20 +74,17 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(name, seeds):
-    """(jobs, exit-code histogram of their runs, SHA-256) of workload
-    ``name`` over ``seeds``."""
-    sha, codes, jobs = hashlib.sha256(), Counter(), 0
-    for seed in seeds:
-        for argv in workloads.generate(name, seed):
-            jobs += 1
-            for fmt in FORMATS:
-                code, out, err = run([*argv, "--format", fmt])
-                codes[code] += 1
-                for part in (str(code), out, err):
-                    data = part.encode()
-                    sha.update(len(data).to_bytes(8, "little") + data)
-    return jobs, dict(sorted(codes.items())), sha.hexdigest()
+def digest(argvs):
+    """(runs, exit-code histogram, SHA-256) of the in-process runs of
+    ``argvs``, in order."""
+    sha, codes = hashlib.sha256(), Counter()
+    for argv in argvs:
+        code, out, err = run(argv)
+        codes[code] += 1
+        for part in (str(code), out, err):
+            data = part.encode()
+            sha.update(len(data).to_bytes(8, "little") + data)
+    return sum(codes.values()), dict(sorted(codes.items())), sha.hexdigest()
 
 
 def seed_range(text):
@@ -73,8 +97,12 @@ def main(argv=None):
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-200"), help="FIRST-LAST (default 1-200)")
     args = parser.parse_args(argv)
     for name in workloads.WORKLOADS:
-        jobs, codes, sha = digest(name, args.seeds)
-        print(f"{name}: {jobs} jobs, exit codes of their {len(FORMATS) * jobs} runs {codes}, sha256 {sha}")
+        jobs = [argv for seed in args.seeds for argv in workloads.generate(name, seed)]
+        runs, codes, sha = digest([*argv, "--format", fmt] for argv in jobs for fmt in FORMATS)
+        print(f"{name}: {len(jobs)} jobs, exit codes of their {runs} runs {codes}, sha256 {sha}")
+    os.environ["COLUMNS"] = "80"
+    runs, codes, sha = digest(PARSER_ARGVS)
+    print(f"argparse: {runs} argvs, exit codes {codes}, sha256 {sha}")
 
 
 if __name__ == "__main__":
