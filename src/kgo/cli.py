@@ -281,15 +281,13 @@ def cmd_greens(args) -> int:
     params, dimension, ell, energy_sq, n_max = _params(args), args.dimension, args.ell, args.energy_sq, args.n_max
     query = GreensQuery(probe_energy_sq=energy_sq, truncation=n_max, pole_guard=args.pole_guard)
     count = args.quad_count if args.quad_count is not None else n_max + 16
-    k_max = min(10, n_max)
+    # the library clamps k_max to the truncation
     if dimension == "1d":
         value = greens_1d(params, query, x1, x2)
-        deviation = coefficient_deviation_1d(params, query, x2, gauss_hermite(count), k_max)
+        deviation = coefficient_deviation_1d(params, query, x2, gauss_hermite(count), 10)
     else:
         value = greens_3d_partial_wave(params, ell, query, x1, x2)
-        deviation = coefficient_deviation_radial(
-            params, ell, query, x2, gauss_laguerre(count, ell + 0.5), k_max
-        )
+        deviation = coefficient_deviation_radial(params, ell, query, x2, gauss_laguerre(count, ell + 0.5), 10)
     passed = deviation <= COEFF_GATE
     header = ["dimension", "ell", "energy_sq", "x1", "x2", "truncation", "value", "max_coefficient_deviation", "passed"]
     row = (dimension, ell, energy_sq, x1, x2, n_max, value, deviation, passed)
@@ -317,14 +315,12 @@ def _common_options(parser):
 def _sector_options(parser):
     """The options of the rule-based commands, which work in one sector: 1D,
     or radial at one ell."""
-    _common_options(parser)
     parser.add_argument("--dimension", choices=["1d", "radial"], default="1d")
     parser.add_argument("--ell", type=int, default=None)
     parser.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
 
 
 def _spectrum_options(parser):
-    _common_options(parser)
     parser.add_argument("--dimension", choices=["1d", "3d"], default="1d")
     parser.add_argument("--n-max", type=int, default=10)
 
@@ -341,7 +337,6 @@ def _closure_options(parser):
 
 
 def _degeneracy_options(parser):
-    _common_options(parser)
     parser.add_argument("--n-max", type=int, default=10)
 
 
@@ -366,6 +361,7 @@ _COMMANDS = {
 
 def _fill(parser, name):
     _, options, run = _COMMANDS[name]
+    _common_options(parser)
     options(parser)
     parser.set_defaults(command=name, run=run)
     return parser
@@ -406,9 +402,7 @@ def _parse(argv):
     left over and every error go to a new full parser."""
     if argv and argv[0] in _COMMANDS:
         with contextlib.suppress(argparse.ArgumentError):
-            args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-            if not extra:
-                return args
+            return _command_parser(argv[0]).parse_args(argv[1:])
     return build_parser().parse_args(argv)
 
 

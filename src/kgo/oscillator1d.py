@@ -204,14 +204,17 @@ class _Line:
     rules in xi = lambda x.  ``oscillator3d._Radial`` has the same interface.
 
     A rule keeps no table of its functions at the nodes.  Each operator that
-    works at a rule's nodes (Gram matrices, projections, the closure driver
-    and the Green's coefficient check) builds the n_max + 1 rows it reads
-    through its sector's ``nodes``, the same bits as the first rows of any
-    taller table.  ``nodes`` builds the table at any further points in the
-    same engine call: the closure driver's grid and the Green's check's x'
-    join the nodes, and a projection passes none.  Every column keeps its
-    bits in such a joint call: the points of a call set its rescale
-    schedule, and a rescale moves only a column's exponent."""
+    works at a rule's nodes builds the n_max + 1 rows it reads, the same bits
+    as the first rows of any taller table.  Projections, the closure driver
+    and the Green's coefficient check build them through their sector's
+    ``nodes``.  The Gram matrices call ``hermite_function_table`` and
+    ``laguerre_function_table`` themselves, and ``gram_matrix_1d`` reads only
+    the non-negative nodes, folding the rule by parity.  ``nodes`` builds the
+    table at any further points in the same engine call: the closure
+    driver's grid and the Green's check's x' join the nodes, and a projection
+    passes none.  Every column keeps its bits in such a joint call: the
+    points of a call set its rescale schedule, and a rescale moves only a
+    column's exponent."""
 
     params: OscillatorParams
     ell = None

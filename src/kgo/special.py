@@ -367,9 +367,7 @@ def sph_harm(ell: int, m: int, point: AngularPoint) -> complex:
     if abs(m) > ell:
         raise ValueError(f"|m| = {abs(m)} exceeds ell = {ell}")
     am = abs(m)
-    x = math.cos(point.theta)
-    sx = math.sin(point.theta)
-    nlm = _norm_assoc_legendre_column(ell, am, x, sx)[ell - am]
+    nlm = _norm_assoc_legendre_column(ell, am, point.theta)[ell - am]
     y = nlm * complex(math.cos(am * point.phi), math.sin(am * point.phi))
     if m < 0:
         y = (-1.0) ** am * y.conjugate()
@@ -383,10 +381,8 @@ def sph_harm_all(ell_max: int, point: AngularPoint) -> list[np.ndarray]:
     2*ell+1 ordered m = -ell..ell.
     """
     _check_degree(ell_max)
-    x = math.cos(point.theta)
-    sx = math.sin(point.theta)
     # cols[m][ell] = N_ell^m
-    cols = [_norm_assoc_legendre_column(ell_max, m, x, sx) for m in range(ell_max + 1)]
+    cols = [_norm_assoc_legendre_column(ell_max, m, point.theta) for m in range(ell_max + 1)]
     rows = []
     for ell in range(ell_max + 1):
         row = np.empty(2 * ell + 1, dtype=complex)
@@ -399,13 +395,14 @@ def sph_harm_all(ell_max: int, point: AngularPoint) -> list[np.ndarray]:
     return rows
 
 
-def _norm_assoc_legendre_column(ell_max, m, x, sx):
-    """N_ell^m(x) for ell = m..ell_max, where Y_ell^m = N_ell^m e^{i m phi}.
+def _norm_assoc_legendre_column(ell_max, m, theta):
+    """N_ell^m(cos theta) for ell = m..ell_max, where Y_ell^m = N_ell^m e^{i m phi}.
 
     Diagonal seed N_m^m = -sqrt((2m+1)/(2m)) sin(theta) N_{m-1}^{m-1}
     (the minus sign is the Condon-Shortley phase), then the stable upward
     recurrence in ell with coefficients a_ell = sqrt((4 ell^2-1)/(ell^2-m^2)).
     """
+    x, sx = math.cos(theta), math.sin(theta)
     pmm = 1.0 / math.sqrt(4.0 * math.pi)
     for k in range(1, m + 1):
         pmm *= -math.sqrt((2 * k + 1.0) / (2.0 * k)) * sx

@@ -17,7 +17,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgo import cli, quadrature
+from kgo import (
+    GreensQuery,
+    OscillatorParams,
+    cli,
+    coefficient_deviation_1d,
+    coefficient_deviation_radial,
+    gauss_hermite,
+    gauss_laguerre,
+    quadrature,
+)
 from kgo.cli import TEST_FUNCTIONS_1D, TEST_FUNCTIONS_RADIAL, build_parser, main
 
 CLOSURE_SCHEMA = {
@@ -435,6 +444,29 @@ def test_greens_pole_wins_over_a_bad_rule(capsys, quad_count, sector, where):
     )
     assert (code, out) == (3, "")
     assert err.startswith("kgo: pole proximity: ") and where in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 9])
+@pytest.mark.parametrize("sector", [[], ["--dimension", "radial", "--ell", "2"]], ids=["1d", "radial"])
+def test_greens_below_order_ten_checks_every_coefficient(capsys, n_max, sector):
+    """The coefficient check reads k <= min(10, n_max): below --n-max 10 the
+    report prints the deviation at k_max = n_max, and the library, asked for
+    k_max = 10, clamps it to the truncation."""
+    code, out, _ = run_cli(
+        capsys, "greens", *sector, "--energy-sq", "9.7", "--x1", "0.7", "--x2", "1.1", "--n-max", str(n_max)
+    )
+    header, rows = parse_csv(out)
+    printed = float(dict(zip(header, rows[0]))["max_coefficient_deviation"])
+    params = OscillatorParams(1.0, 1.0)
+    query = GreensQuery(probe_energy_sq=9.7, truncation=n_max, pole_guard=1e-6)
+    if sector:
+        rule = gauss_laguerre(n_max + 16, 2.5)
+        deviations = [coefficient_deviation_radial(params, 2, query, 1.1, rule, k) for k in (n_max, 10)]
+    else:
+        rule = gauss_hermite(n_max + 16)
+        deviations = [coefficient_deviation_1d(params, query, 1.1, rule, k) for k in (n_max, 10)]
+    assert code == 0
+    assert [printed, printed] == deviations
 
 
 # ---------------------------------------------------------------------------

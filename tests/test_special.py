@@ -830,6 +830,98 @@ def test_hille_hardy_formula_sums_the_laguerre_rows(alpha):
     assert np.all(error <= bound), np.max(error / bound)
 
 
+# Bounds of the two finite identities below, in eps times the sum of the
+# terms' magnitudes plus w_n times the left side (the rounding of its
+# argument).  Over seeds 0-99 (Hermite) and 0-139 (Laguerre) of 40 pairs the
+# clean tables reached 224 and 218.  At seeds 0-9 a row scaled by 1 + 1e-10
+# at order 400 or 500 scored at least 1,135 and 712, and rows 40 and 200
+# more; a planted row n shows in the identity of order n, where the left
+# side caps its score near 1e-10 / (eps w_n).
+ROTATION_EPS = 500.0
+ADDITION_EPS = 350.0
+
+
+def _coefficient_triangle(column, across):
+    """sqrt(t[n, k]) in double for k <= n < len(column), 0 above the
+    diagonal: t[n, 0] = column[n] and t[n, k + 1] = t[n, k] across(n, k),
+    built in long double from these ratios (math.comb took 20 times as long
+    for the Hermite table)."""
+    n = np.arange(column.size, dtype=np.longdouble)
+    t = np.zeros((column.size, column.size), dtype=np.longdouble)
+    t[:, 0] = column
+    for k in range(column.size - 1):
+        t[k + 1 :, k + 1] = t[k + 1 :, k] * across(n[k + 1 :], k)
+    return np.sqrt(t).astype(float)
+
+
+def _addition_error(a, fx, fy, lhs, weight, factor=1.0):
+    """The largest |factor sum_k a[n, k] fx[k] fy[n - k] - lhs[n]| over the
+    orders n and the pairs, in eps times factor sum_k |a[n, k] fx[k] fy[n - k]|
+    + weight(n) |lhs[n]|."""
+    worst = 0.0
+    for n, side in enumerate(lhs):
+        terms = a[n, : n + 1, None] * fx[: n + 1] * fy[n::-1]
+        error = np.abs(factor * terms.sum(axis=0) - side)
+        worst = max(worst, np.max(error / (factor * np.abs(terms).sum(axis=0) + weight(n) * np.abs(side))))
+    return worst / np.finfo(float).eps
+
+
+def _rotation_error(seed, n_max=500, pairs=40):
+    x, y = np.random.default_rng(seed).uniform(-20.0, 20.0, (2, pairs))
+    rx, ry = (x + y) / math.sqrt(2), (x - y) / math.sqrt(2)
+    hx, hy, hrx, hry = np.split(hermite_function_table(n_max, np.concatenate([x, y, rx, ry])), 4, axis=1)
+    a = _coefficient_triangle(0.5 ** np.arange(n_max + 1, dtype=np.longdouble), lambda n, k: (n - k) / (k + 1))
+    width = np.abs(rx) + np.abs(ry)
+    return _addition_error(a, hx, hy, hrx * hry[0], lambda n: 1 + math.sqrt(2 * n + 1) * width)
+
+
+def test_rotated_oscillator_checks_every_hermite_row():
+    """The 2D oscillator rotated by 45 degrees: with X = (x + y)/sqrt(2) and
+    Y = (x - y)/sqrt(2), h_n(X) h_0(Y) = 2^(-n/2) sum_{k<=n} sqrt(C(n, k))
+    h_k(x) h_{n-k}(y) (DLMF 18.18, for the polynomials), for each n <= 500
+    on its own, at 40 pairs with |x|, |y| <= 20.  The bound is ROTATION_EPS
+    eps times the terms' magnitudes plus w_n |h_n(X) h_0(Y)|, with
+    w_n = 1 + sqrt(2n + 1)(|X| + |Y|) for the rounding of X and Y.  Unlike
+    Mehler's sum it sees a row scaled by 1 + 1e-10 at every order up to 500;
+    like every identity between rows, it passes one scale on all of them."""
+    error = _rotation_error(2026)
+    assert error <= ROTATION_EPS, error
+
+
+def _laguerre_addition_error(alpha, seed, n_max=500, pairs=40):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(20.0, 300.0, pairs)
+    y = x * rng.uniform(0.5, 2.0, pairs)
+    gamma = 2 * alpha + 1
+    fx, fy = np.split(laguerre_function_table(n_max, alpha, np.concatenate([x, y])), 2, axis=1)
+    k = np.arange(n_max, dtype=np.longdouble)
+    column = float(mpmath.beta(alpha + 1, alpha + 1)) * np.cumprod(np.r_[1.0, (k + alpha + 1) / (k + gamma + 1)])
+    a = _coefficient_triangle(column, lambda n, k: (k + alpha + 1) * (n - k) / ((k + 1) * (n - k + alpha)))
+    lhs = laguerre_function_table(n_max, gamma, x + y)
+    factor = (x + y) ** (gamma / 2) * x ** (-alpha / 2) * y ** (-alpha / 2)
+    return _addition_error(a, fx, fy, lhs, lambda n: 1 + n + gamma, factor)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 8.5, 64.5])
+def test_addition_formula_checks_every_laguerre_row(alpha):
+    """The addition formula L_n^(alpha+beta+1)(x + y) = sum_k L_k^alpha(x)
+    L_{n-k}^beta(y) (DLMF 18.18), here with beta = alpha, written for the
+    normalized functions: with gamma = alpha + beta + 1,
+    lf_n^gamma(x + y) = P sum_k A_{n,k} lf_k^alpha(x) lf_{n-k}^beta(y), where
+    P = (x + y)^(gamma/2) x^(-alpha/2) y^(-beta/2) and A_{n,k}^2 =
+    n! Gamma(k+alpha+1) Gamma(n-k+beta+1) / (Gamma(n+gamma+1) k! (n-k)!).
+    A_{0,0}^2 = B(alpha+1, beta+1), A_{n+1,0}^2 / A_{n,0}^2 =
+    (n+beta+1) / (n+gamma+1) and A_{n,k+1}^2 / A_{n,k}^2 =
+    (k+alpha+1)(n-k) / ((k+1)(n-k+beta)).  Each n <= 500 is checked on its
+    own at 40 pairs with x in [20, 300] and y / x in [0.5, 2], within
+    ADDITION_EPS eps times P times the terms' magnitudes plus
+    (1 + n + gamma) |lf_n^gamma(x + y)|.  Below x = 20 the clean error
+    reached 679 where the left side nears a zero, above what a row-500
+    defect scores at alpha 64.5."""
+    error = _laguerre_addition_error(alpha, 2026)
+    assert error <= ADDITION_EPS, error
+
+
 def test_laguerre_poly_scaled_roundtrip():
     pv = laguerre_poly_scaled(15, 0.5, 7.0)
     assert pv.reconstruct() == pytest.approx(laguerre_poly(15, 0.5, 7.0), rel=1e-11)

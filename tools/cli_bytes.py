@@ -4,10 +4,13 @@ Runs every job that ``bench/workloads.generate`` makes for a range of seeds,
 in-process through ``kgo.cli.main``, once with ``--format csv`` and once with
 ``--format json``, and prints one line per workload: the job count, the
 histogram of exit codes and one SHA-256 over every run's stdout, stderr and
-exit code, in job order.  A last line digests, the same way, a fixed list of
-argvs that argparse itself answers: help, ``--version`` and rejected
-arguments, with the help wrapped at 80 columns.  Two trees that print the
-same lines gave the same bytes on those runs.
+exit code, in job order.  A further line digests, the same way, a fixed
+list of argvs that argparse itself answers: help, ``--version`` and rejected
+arguments, with the help wrapped at 80 columns.  The last line digests the
+``kgo`` command lines of the README's ``sh`` blocks, then ``greens`` at
+``--n-max`` 0, 3 and 9 (where the coefficient check reads every row) in
+both dimensions and both formats.  Two trees that print the same lines gave
+the same bytes on those runs.
 
 Usage, from the root of a checkout:
 
@@ -26,6 +29,8 @@ import contextlib
 import hashlib
 import io
 import os
+import re
+import shlex
 import sys
 from collections import Counter
 from pathlib import Path
@@ -36,6 +41,7 @@ import workloads  # noqa: E402
 
 from kgo import cli  # noqa: E402
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 FORMATS = ("csv", "json")
 
 GREENS = ["greens", "--energy-sq", "7.3", "--x1", "0.2", "--x2", "0.3"]
@@ -61,6 +67,20 @@ PARSER_ARGVS = [
     ["closure", "--bogus", "-h"],
     ["degeneracy", "--n-max", "2", "--format", "xml"],
 ]
+SMALL_GREENS = [
+    [*GREENS, *sector, "--n-max", n_max, "--format", fmt]
+    for sector in ([], ["--dimension", "radial", "--ell", "2"])
+    for n_max in ("0", "3", "9")
+    for fmt in FORMATS
+]
+
+
+def readme_examples():
+    """The argvs of the README's ``kgo`` command lines, read as
+    ``tests/test_cli.py`` reads them."""
+    text = README.read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S) for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("kgo ")]
 
 
 def run(argv):
@@ -103,6 +123,8 @@ def main(argv=None):
     os.environ["COLUMNS"] = "80"
     runs, codes, sha = digest(PARSER_ARGVS)
     print(f"argparse: {runs} argvs, exit codes {codes}, sha256 {sha}")
+    runs, codes, sha = digest([*readme_examples(), *SMALL_GREENS])
+    print(f"readme and small greens: {runs} argvs, exit codes {codes}, sha256 {sha}")
 
 
 if __name__ == "__main__":
