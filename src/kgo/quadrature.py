@@ -439,8 +439,7 @@ def _christoffel_arrays(roots, log_weight, log_christoffel, offset):
     every entry of the column carries that rounding, up to 5e-14 relative at
     the outer nodes of a 512-point rule.  The Christoffel sum carries it
     too, so that it cancels from every sum_k w_k t_m(x_k) t_n(x_k) over the
-    table, as it did when the weights were the table's own column sums of
-    squares.
+    table.
     """
     nodes = roots.astype(float)
     rounding = offset(nodes) - offset(nodes.astype(np.longdouble))

@@ -367,11 +367,8 @@ def sph_harm(ell: int, m: int, point: AngularPoint) -> complex:
     if abs(m) > ell:
         raise ValueError(f"|m| = {abs(m)} exceeds ell = {ell}")
     am = abs(m)
-    nlm = _norm_assoc_legendre_column(ell, am, point.theta)[ell - am]
-    y = nlm * complex(math.cos(am * point.phi), math.sin(am * point.phi))
-    if m < 0:
-        y = (-1.0) ** am * y.conjugate()
-    return y
+    nlm = _norm_assoc_legendre_column(ell, am, point.theta)[-1]
+    return _ylm(nlm, am, complex(math.cos(am * point.phi), math.sin(am * point.phi)))[m >= 0]
 
 
 def sph_harm_all(ell_max: int, point: AngularPoint) -> list[np.ndarray]:
@@ -381,39 +378,39 @@ def sph_harm_all(ell_max: int, point: AngularPoint) -> list[np.ndarray]:
     2*ell+1 ordered m = -ell..ell.
     """
     _check_degree(ell_max)
-    # cols[m][ell] = N_ell^m
-    cols = [_norm_assoc_legendre_column(ell_max, m, point.theta) for m in range(ell_max + 1)]
-    rows = []
-    for ell in range(ell_max + 1):
-        row = np.empty(2 * ell + 1, dtype=complex)
-        for m in range(ell + 1):
-            y = cols[m][ell - m] * complex(math.cos(m * point.phi), math.sin(m * point.phi))
-            row[ell + m] = y
-            if m:
-                row[ell - m] = (-1.0) ** m * y.conjugate()
-        rows.append(row)
+    rows = [np.empty(2 * ell + 1, dtype=complex) for ell in range(ell_max + 1)]
+    for m in range(ell_max + 1):
+        phase = complex(math.cos(m * point.phi), math.sin(m * point.phi))
+        for ell, nlm in enumerate(_norm_assoc_legendre_column(ell_max, m, point.theta), m):
+            # Y_ell^m last, so that at m = 0 the entry is Y_ell^0 itself
+            rows[ell][ell - m], rows[ell][ell + m] = _ylm(nlm, m, phase)
     return rows
+
+
+def _ylm(nlm, m, phase):
+    """(Y_ell^-m, Y_ell^m) for m >= 0 from N_ell^m and phase = e^{i m phi}:
+    Y_ell^m = N_ell^m e^{i m phi} and Y_ell^-m = (-1)^m conj(Y_ell^m)."""
+    y = nlm * phase
+    return (-1.0) ** m * y.conjugate(), y
 
 
 def _norm_assoc_legendre_column(ell_max, m, theta):
     """N_ell^m(cos theta) for ell = m..ell_max, where Y_ell^m = N_ell^m e^{i m phi}.
 
-    Diagonal seed N_m^m = -sqrt((2m+1)/(2m)) sin(theta) N_{m-1}^{m-1}
-    (the minus sign is the Condon-Shortley phase), then the stable upward
-    recurrence in ell with coefficients a_ell = sqrt((4 ell^2-1)/(ell^2-m^2)).
+    Diagonal seed N_m^m = -sqrt((2m+1)/(2m)) sin(theta) N_{m-1}^{m-1} from
+    N_0^0 = 1/sqrt(4 pi) (the minus sign is the Condon-Shortley phase), then
+    the stable upward recurrence
+    N_ell^m = a_ell (cos(theta) N_{ell-1}^m - N_{ell-2}^m / a_{ell-1}) with
+    a_ell = sqrt((4 ell^2-1)/(ell^2-m^2)), for ell = m+1..ell_max.  It starts
+    from N_{m-1}^m = 0 and a_m = inf, the coefficient's limit at ell = m,
+    so the first step's second term is exactly 0.
     """
     x, sx = math.cos(theta), math.sin(theta)
-    pmm = 1.0 / math.sqrt(4.0 * math.pi)
+    pk = 1.0 / math.sqrt(4.0 * math.pi)
     for k in range(1, m + 1):
-        pmm *= -math.sqrt((2 * k + 1.0) / (2.0 * k)) * sx
-    out = [pmm]
-    if ell_max == m:
-        return out
-    a = math.sqrt(2.0 * m + 3.0)  # a_{m+1}; each step below carries a on as a_{ell-1}
-    pk = x * a * pmm
-    out.append(pk)
-    pkm1 = pmm
-    for ell in range(m + 2, ell_max + 1):
+        pk *= -math.sqrt((2 * k + 1.0) / (2.0 * k)) * sx
+    out, pkm1, a = [pk], 0.0, math.inf
+    for ell in range(m + 1, ell_max + 1):
         am1, a = a, math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
         pkm1, pk = pk, a * (x * pk - pkm1 / am1)
         out.append(pk)
@@ -552,8 +549,8 @@ def _materialize(v, c, e):
     c and exponent e into the values v c 2^e in place, and return v: one
     product by c, then one np.ldexp by e, which rounds only where the value
     leaves the normal range, with no temporary the size of v.  A zero
-    mantissa gives +0.0 whatever its sign, as it did when values were formed
-    through logs; a negative value that underflows gives -0.0."""
+    mantissa gives +0.0 whatever its sign; a negative value that underflows
+    gives -0.0."""
     v += 0.0
     v *= c
     return np.ldexp(v, e, out=v)
