@@ -24,11 +24,16 @@ form (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013),
 which lies inside its Bruns bracket.  From either start a safeguarded
 bisection/Newton hybrid on np.longdouble points, through the same
 recurrences, takes one step (Hermite, Laguerre) or at most 3 (Legendre).
+The Hermite and Laguerre scan and step run the engines' recurrence scaled to
+b = 1 (kgo.special), two numpy calls a step.  The smallest Laguerre roots,
+where the recurrence's rounding leaves up to a few ulp, are then taken from
+one long-double Newton step on the power series of L_K^(alpha), wherever its
+terms cancel little (:func:`_series_roots`).
 With 80-bit long double (x86-64 Linux) every Hermite, Laguerre (alpha -0.5
 to 64.5) and Legendre node of up to 512 points is within 4 ulp of its root
 (the node audit, tools/node_audit.py, checks every one); where
 np.longdouble is plain double every step is a double step.  A cold
-Hermite or Laguerre rule costs 2 recurrence sweeps, the scan and the
+Hermite or Laguerre rule still costs 2 recurrence sweeps, the scan and the
 long-double step, and a Legendre rule at most 3, and none for weights.
 Symmetric rules polish only their positive roots (and the root 0 of an odd
 rule) and mirror them.
@@ -158,11 +163,11 @@ def _check_count(count):
 # most.  A scan step spans at most half a root spacing (at the grid helpers),
 # a phase of at most pi/2, so a root about a quarter of a spacing from its
 # end leaves a truncation error of about (pi/4)^16 / 16!, 1e-15 of the
-# function's amplitude.  Every start measured was within 3.0e-12 of its
-# bracket from its long-double root (Hermite 6.0e-14, at 482 nodes; Laguerre
-# 2.99e-12, at 502 nodes and alpha 4.5, over alpha -0.9 to 1000 and 2 to 512
-# nodes), where the double scan values' rounding noise is the limit, inside
-# the long-double stop below.  The steps stop as the long-double ones do, at
+# function's amplitude.  Every start measured was within 3.4e-12 of its
+# bracket from its long-double root (Hermite 5.7e-14, at 481 nodes; Laguerre
+# 3.33e-12, at 504 nodes and alpha 4.5, over alpha -0.9 to 1000 and 2 to 512
+# nodes), where the double scan values' rounding noise is the limit, far
+# inside the long-double stop below.  The steps stop as the long-double ones do, at
 # _STOP min(hi - lo, |x|), after 3 or 4 at most rules.  A Laguerre root
 # in the grid's first interval is started from the series about the origin
 # (:func:`_laguerre_series`); near alpha -1 it lies far below the chord point,
@@ -181,6 +186,22 @@ _TAYLOR_STEPS = 40
 # within a double ulp of the root; a larger one is not yet in that regime
 # and is followed by another.
 _STOP = 1e-8
+
+# The smallest Laguerre roots from their power series (:func:`_series_roots`).
+# Summed in long double, terms t_k whose magnitudes add up to M carry a
+# rounding error of a few long-double ulp of M, which moves a root by about
+# that over |rho L'|, the change of the sum over a relative change of rho.
+# Where M <= _SERIES_GAIN |rho L'| that is a few times 2^8 / 2^64 relative,
+# a fraction of a double ulp (2^-53 to 2^-52 relative), and the series root
+# is taken in place of the polished one.  M grows about e^pi-fold from one
+# root to the next, like exp(2 sqrt(K rho)), so the bound takes the first 2
+# or 3 roots of most rules at alpha -0.9 to 0.5, 1 at alpha 4.5, none at most
+# rules from alpha 10.5 up, and every root of some rules of up to 7 nodes.
+# Only the first _SERIES_ROOTS roots are tried; without that cap no root past
+# the 7th passed in any rule of 1 to 512 nodes at the alphas measured
+# (-1 + 1e-12 to 1000).
+_SERIES_GAIN = 2.0**8
+_SERIES_ROOTS = 8
 
 
 def _taylor_start(series, x0, v, dv, lo, hi, x):
@@ -277,11 +298,13 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     half a spacing e off, leaves about e^2 / |x|, at most 0.1 double ulp at
     that threshold.  A smaller root (the first Laguerre root near alpha -1,
     below about 2.2e-8 at 512 nodes) keeps its unrounded points: there a
-    step from the spacing grid never passes the stop, and the last one would
-    leave up to about 4e-4 of the root.  The rounding of c_k - rho then
-    biases that node by up to about 22 double ulp at 480-512 nodes (README,
-    "Numerical notes").  A loop that has not stopped after 120 sweeps raises
-    QuadratureError.
+    step from the spacing grid never passes the stop (the polish of GL64
+    and GL512 at 1 + alpha = 1e-9 and 1e-12 reaches its sweep cap), and the
+    last one would leave up to about 4e-4 of the root.  The rounding of
+    c_k - rho biases the root of that step by up to about 22 double ulp at
+    480-512 nodes, which :func:`_series_roots` then removes; the slope, and
+    with it the weight, is insensitive to that to second order.  A loop
+    that has not stopped after 120 sweeps raises QuadratureError.
     """
     a, b = lo, hi
     quantum = np.spacing(np.longdouble(np.max(hi, initial=0.0)))
@@ -306,6 +329,25 @@ def _polish(fn_df, lo, hi, f_lo_sign, x):
     return x, log_d
 
 
+def _series_roots(count, alpha, rho):
+    """The polished Laguerre roots rho, ascending, with the smallest taken
+    from one long-double Newton step on the power series
+    L_K^(alpha)(rho) = sum_k (-1)^k binom(K + alpha, K - k) rho^k / k!, in
+    terms t_k of L_K^(alpha)(rho) / L_K^(alpha)(0), at each of the first
+    _SERIES_ROOTS roots where their magnitudes sum to at most _SERIES_GAIN
+    |rho L'| (and at every smaller root)."""
+    x = rho[:_SERIES_ROOTS]
+    j = np.arange(1, count + 1, dtype=x.dtype)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # t_j = t_{j-1} (-(K - j + 1) rho / (j (alpha + j))), from t_0 = 1
+        t = np.cumprod(np.multiply.outer((j - 1 - count) / (j * (alpha + j)), x), axis=0)
+        f, g = 1.0 + t.sum(axis=0), j @ t  # L / L(0) and rho L' / L(0)
+        little = np.logical_and.accumulate(1.0 + np.abs(t).sum(axis=0) <= _SERIES_GAIN * np.abs(g))
+        out = rho.copy()
+        out[: x.size][little] = (x - x * f / g)[little]
+    return out
+
+
 def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
     """:func:`_polish` for an even or odd f from brackets of its positive
     roots, mirrored to every root.  The root 0 of an odd f, an exact 0 of
@@ -321,7 +363,7 @@ def _symmetric_roots(fn_df, lo, hi, f_lo_sign, x, odd):
 def _hermite_fn_df(count, x):
     """h_K and its slope h_K' = sqrt(2K) h_{K-1} - x h_K at x, in x's dtype,
     for _polish; h_K'' = (x^2 - 2K - 1) h_K is 0 at a root."""
-    v, vm1, c, e = _hermite_engine(count, x)
+    v, vm1, c, e = _hermite_engine(count, x, unit=True)
     v, vm1 = v * c, vm1 * c
     return v, np.sqrt(x.dtype.type(2 * count)) * vm1 - x * v, e
 
@@ -330,7 +372,7 @@ def _laguerre_fn_df(count, alpha, rho):
     """lf_K and rho lf_K' = lf_K (K + alpha/2 - rho/2) - sqrt(K(K+alpha)) lf_{K-1},
     both times rho, at rho, in rho's dtype, for _polish; by the Laguerre
     function equation (rho lf_K')' = (alpha^2/(4 rho) + rho/4 - K - (alpha+1)/2) lf_K."""
-    v, vm1, c, e = _laguerre_engine(count, alpha, rho)
+    v, vm1, c, e = _laguerre_engine(count, alpha, rho, unit=True)
     v, vm1 = v * c, vm1 * c
     k = rho.dtype.type(count)
     return rho * v, v * (k + 0.5 * alpha - 0.5 * rho) - np.sqrt(k * (k + alpha)) * vm1, e
@@ -496,6 +538,7 @@ def _laguerre_nodes(count, alpha):
     series = functools.partial(_laguerre_series, count, alpha)
     s_lo, s_hi, f_lo_sign, s_start = _bracket_by_scan(lf_pair_s, _laguerre_grid(count, alpha), count, series)
     rho, log_d = _polish(lf_pair_rho, s_lo * s_lo, s_hi * s_hi, f_lo_sign, s_start * s_start)
+    rho = _series_roots(count, alpha, rho)
     # sum_{j<K} lf_j^2 = rho lf_K'^2 = (rho lf_K')^2 / rho at a root of lf_K
     return _christoffel_arrays(
         rho, alpha * np.log(rho) - rho, 2.0 * log_d - np.log(rho), functools.partial(_laguerre_offset, alpha)

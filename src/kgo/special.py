@@ -32,7 +32,15 @@ rescaled, nor on the other points of its call, which set the schedule.  One
 loop serves both families: each engine supplies only its start offset, its
 dead-point stand-in, the coefficient arrays that the growth bound spends,
 and a function that forms the steps' arrays a_k from those arrays, a block
-of steps at a time into one buffer that the loop reuses.  The engines run in
+of steps at a time into one buffer that the loop reuses.  The loop has two
+step forms.  Tables and single evaluations run
+v_{k+1} = a_k v_k - b_k v_{k-1}, three numpy calls a step.  The root sweeps
+of the Gauss rules run the same recurrence scaled to b = 1: with
+v_k = sigma_k u_k and sigma_{k+1} = b_k sigma_{k-1}, each step is
+u_{k+1} = (a_k sigma_k / sigma_{k+1}) u_k - u_{k-1}, two numpy calls, and
+the returned pair is multiplied once by (sigma_n, sigma_{n-1}).  The scales
+round, so the two forms differ in the last bits; a table and a single
+evaluation keep the first form's bits.  The engines run in
 the dtype of their points, so long-double points get long-double
 coefficients and values; the public evaluators pass doubles.  A table
 receives each order's raw mantissa as the recurrence runs, and its rows are
@@ -205,26 +213,33 @@ def _hermite_offset(xi):
     return -0.5 * xi * xi - 0.25 * math.log(math.pi)
 
 
-def _hermite_engine(n_max, xi, table=None):
+def _hermite_engine(n_max, xi, table=None, unit=False):
     """Run the normalized Hermite recurrence with per-point rescaling.
 
     Returns (v_n, v_{n-1}, c, e): the top two orders as raw mantissas
     sharing the per-point factor c and integer exponent e, h_n = v_n c 2^e,
     so ratios of same-point values are exact.  A given ``table`` of shape
     (n_max+1, npts) receives every order's values.  Dead points, whose
-    offset is below _MIN_OFFSET, run the recurrence at xi = 0.
+    offset is below _MIN_OFFSET, run the recurrence at xi = 0.  With
+    ``unit`` (the root sweeps, n_max >= 1, no table) the steps run on the
+    recurrence scaled to b = 1 (:func:`_unit_scales`), whose rounding
+    differs from the plain steps' that tables and single evaluations keep.
     """
     with np.errstate(over="ignore"):
         s = _hermite_offset(xi)
     xi = np.where(s >= _MIN_OFFSET, xi, 0.0)
     steps = np.arange(n_max, dtype=np.result_type(xi, float))
-    q = np.sqrt(2.0 / (steps + 1))
+    if unit:
+        scale2 = _unit_scales(steps / (steps + 1))
+        q, b, scale = np.sqrt(2.0 * scale2[:-1] / ((steps + 1) * scale2[1:])), np.ones_like(steps), np.sqrt(scale2)
+    else:
+        q, b, scale = np.sqrt(2.0 / (steps + 1)), np.sqrt(steps / (steps + 1.0)), None
     a_max = np.max(np.abs(xi), initial=0.0) * q
 
     def fill(k0, k1, out):
         np.multiply.outer(q[k0:k1], xi, out=out)
 
-    return _recurrence(s, fill, np.sqrt(steps / (steps + 1.0)), a_max, table)
+    return _recurrence(s, fill, b, a_max, table, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +316,12 @@ def _laguerre_offset(alpha, rho):
     return -0.5 * rho + 0.5 * alpha * np.log(rho) - 0.5 * log_gamma(alpha + 1.0)
 
 
-def _laguerre_engine(n_max, alpha, rho, table=None):
+def _laguerre_engine(n_max, alpha, rho, table=None, unit=False):
     """Normalized Laguerre recurrence with per-point rescaling (requires
     rho > 0 elementwise), returning and filling ``table`` as
-    :func:`_hermite_engine` does.  Dead points, whose offset is below
-    _MIN_OFFSET or nan (rho = inf), run the recurrence at rho = 1.
+    :func:`_hermite_engine` does, ``unit`` included.  Dead points, whose
+    offset is below _MIN_OFFSET or nan (rho = inf), run the recurrence at
+    rho = 1.
 
     lf_{k+1} = A_k lf_k - B_k lf_{k-1} with
     A_k = (2k+1+alpha-rho)/sqrt((k+1)(k+1+alpha)) and
@@ -319,14 +335,31 @@ def _laguerre_engine(n_max, alpha, rho, table=None):
     lo, hi = (rho.min(), rho.max()) if rho.size else (1.0, 1.0)
     c = 2 * steps + 1 + alpha
     norm = (steps + 1) * (steps + 1 + alpha)
-    d = np.sqrt(norm)
+    if unit:
+        scale2 = _unit_scales(steps * (steps + alpha) / norm)
+        d, b, scale = np.sqrt(norm) * np.sqrt(scale2[1:] / scale2[:-1]), np.ones_like(steps), np.sqrt(scale2)
+    else:
+        d, b, scale = np.sqrt(norm), np.sqrt(steps * (steps + alpha) / norm), None
     a_max = np.maximum(np.abs(c - lo), np.abs(c - hi)) / d
 
     def fill(k0, k1, out):
         np.subtract.outer(c[k0:k1], rho, out=out)
         out /= d[k0:k1, None]
 
-    return _recurrence(s, fill, np.sqrt(steps * (steps + alpha) / norm), a_max, table)
+    return _recurrence(s, fill, b, a_max, table, scale)
+
+
+def _unit_scales(b2):
+    """The squares sigma_k^2, k = 0..n, of the scales that take
+    v_{k+1} = a_k v_k - b_k v_{k-1} (b_0 = 0) to the recurrence scaled to
+    b = 1, from the squares b2 of its n coefficients b_k: with v_k = sigma_k u_k
+    and sigma_{k+1} = b_k sigma_{k-1}, from sigma_0 = sigma_1 = 1,
+    u_{k+1} = a_k (sigma_k / sigma_{k+1}) u_k - u_{k-1}.  Each parity class is
+    one cumulative product of the b_k^2, in the dtype of b2."""
+    scale2 = np.ones(b2.size + 1, dtype=b2.dtype)
+    scale2[2::2] = np.cumprod(b2[1::2])
+    scale2[3::2] = np.cumprod(b2[2::2])
+    return scale2
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +512,20 @@ def _raw_recurrence(steps, e):
     return vk, e
 
 
-def _recurrence(s, fill, b, a_max, table=None):
+def _recurrence(s, fill, b, a_max, table=None, scale=None):
     """The one loop of both engines: v_{k+1} = a_k v_k - b_k v_{k-1} from
     v_0 = 1, v_{-1} = 0 at the points of the log offset s, where
     ``fill(k0, k1, out)`` writes the arrays a_k of steps k0 <= k < k1 into
-    the rows of ``out`` and |a_k| <= a_max[k].  The a_k are made a block of
-    rows at a time in one buffer, in the dtype of b, that every block reuses:
-    at most _MATERIALIZE_CELLS values, or one row where the points alone are
-    more.  Each offset, clamped to _MIN_OFFSET (a nan offset too), is split
-    once into c 2^e (module docstring).
+    the rows of ``out`` and |a_k| <= a_max[k].  Given ``scale``, the
+    sigma_0..sigma_n of :func:`_unit_scales` (n >= 1), the loop runs the
+    unit form instead, u_{k+1} = a_k u_k - u_{k-1}, whose b_k are all 1: two
+    numpy calls a step where the other form takes three.  It returns the
+    pair times (sigma_n, sigma_{n-1}), one product each, and fills no
+    table.  The a_k are made a block of rows at a time in one buffer, in the
+    dtype of b, that every block reuses: at most _MATERIALIZE_CELLS values,
+    or one row where the points alone are more.  Each offset, clamped to
+    _MIN_OFFSET (a nan offset too), is split once into c 2^e (module
+    docstring).
 
     In one step max(|v_k|, |v_{k-1}|) grows by at most a_max + b and shrinks
     by at most 2 max(1, a_max) / b (on step 0, where b = 0, it cannot
@@ -507,6 +545,7 @@ def _recurrence(s, fill, b, a_max, table=None):
     vk, vkm1 = np.ones_like(c), np.zeros_like(c)
     if table is not None:
         table[0] = vk
+    unit = scale is not None
     shrink = np.divide(2.0 * np.maximum(1.0, a_max), b, out=np.ones_like(b), where=b > 0.0)
     growth, budget = np.log(np.maximum(a_max + b, shrink)).tolist(), _HEADROOM
     rows = max(1, _MATERIALIZE_CELLS // max(1, s.size))
@@ -524,11 +563,13 @@ def _recurrence(s, fill, b, a_max, table=None):
                 vk, vkm1, e = _renormalize(vk, vkm1, e)
                 budget = _HEADROOM
             budget -= growth[k]
-            vk, vkm1 = a * vk - bk * vkm1, vk
+            vk, vkm1 = (a * vk - vkm1 if unit else a * vk - bk * vkm1), vk
             if table is not None:
                 table[k + 1] = vk
     if table is not None:
         _materialize(table[start:], c, e)
+    if unit:
+        vk, vkm1 = vk * scale[-1], vkm1 * scale[-2]
     return vk, vkm1, c, e
 
 

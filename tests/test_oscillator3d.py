@@ -586,6 +586,15 @@ def test_angular_kernel_coincident():
     assert angular_kernel(10, a, a) == pytest.approx(121.0 / (4 * math.pi), rel=1e-13)
 
 
+def test_angular_kernel_addition_at_coincident_points():
+    """At a = b the addition theorem's cos gamma is exactly 1, so the kernel
+    at ell 64 is the exact (ell + 1)^2 / (4 pi) within 1e-12; the sum of
+    products cos a cos b + sin a sin b cos(phi_a - phi_b) rounded just below
+    1 at this point and left 6.0e-11."""
+    a = AngularPoint(2.094, 1.0)
+    assert abs(angular_kernel_addition(64, a, a) - 65.0**2 / (4 * math.pi)) <= 1e-12
+
+
 def test_angular_kernel_dual_path(rng):
     for _ in range(12):
         a = AngularPoint(float(rng.uniform(0.05, math.pi - 0.05)), float(rng.uniform(0, 2 * math.pi)))

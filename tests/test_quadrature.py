@@ -414,9 +414,9 @@ def _count_engine_sweeps(monkeypatch, *engines):
     for engine in engines:
         original = getattr(quadrature, engine)
 
-        def counted(*args, original=original):
+        def counted(*args, original=original, **kwargs):
             calls.append(args[-1].dtype)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(quadrature, engine, counted)
     return calls
@@ -591,12 +591,14 @@ PLAIN_WEIGHT_REL = 1e-12
 # The Legendre node and weight bounds where np.longdouble is plain double.
 PLAIN_LEGENDRE_NODE_ULP = 8.0
 PLAIN_LEGENDRE_WEIGHT_REL = 1e-11
-# Largest distance, in double ulp, of the smallest node of a 512-point
-# Laguerre rule near alpha -1 from its root, where that root lies below 1e8
-# long-double spacings of the top bracket end and the polish does not round
-# its points: the rounding of the recurrence's c_k - rho there (README
-# "Numerical notes"; up to 22 measured).
-NEAR_ORIGIN_NODE_ULP = 32.0
+# Largest distance, in double ulp, of the 6 smallest nodes of a Laguerre rule
+# near alpha -1 from their roots.  The smallest roots are taken from the
+# power series, also where the root lies below 1e8 long-double spacings of the
+# top bracket end and the polish does not round its points (README
+# "Numerical notes"): over 2 to 512 nodes and 1 + alpha from 1e-16 to 0.1,
+# within 0.50 ulp at the smallest node and 0.74 at the next 5, where the
+# rounding of the recurrence's c_k - rho left up to 22 ulp.
+NEAR_ORIGIN_NODE_ULP = 1.0
 
 needs_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="np.longdouble is plain double on this platform"
@@ -604,6 +606,21 @@ needs_long_double = pytest.mark.skipif(
 CONTRACT_RULES = [pytest.param(count, None, id=f"hermite-{count}") for count in (64, 189, 512)] + [
     pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
     for count, alpha in ((64, -0.5), (144, 0.5), (144, 10.5), (144, 64.5), (512, -0.5), (512, 0.5))
+]
+
+
+# The worst node of each family in the node audit (tools/node_audit.json):
+# rule and node index.
+AUDIT_WORST_NODES = [
+    pytest.param(count, alpha, index, id=f"audit-{name}-{count}")
+    for name, count, alpha, index in (
+        ("hermite", 504, None, 121),
+        ("laguerre--0.5", 503, -0.5, 2),
+        ("laguerre-0", 380, 0.0, 2),
+        ("laguerre-0.5", 462, 0.5, 2),
+        ("laguerre-10.5", 468, 10.5, 0),
+        ("laguerre-64.5", 471, 64.5, 2),
+    )
 ]
 
 
@@ -615,12 +632,16 @@ def _root_near(poly, node):
 
 
 @needs_long_double
-@pytest.mark.parametrize("count, alpha", CONTRACT_RULES)
-def test_nodes_within_a_few_ulp_of_the_roots(count, alpha):
+@pytest.mark.parametrize(
+    "count, alpha, worst",
+    [pytest.param(*rule.values, None, id=rule.id) for rule in CONTRACT_RULES] + AUDIT_WORST_NODES,
+)
+def test_nodes_within_a_few_ulp_of_the_roots(count, alpha, worst):
     """The node contract: the 6 smallest positive nodes, the middle positive
-    node and the largest node of each sampled rule lie within NODE_ULP of
-    the roots.  The smallest Laguerre nodes are where a double recurrence's
-    rounding noise puts them thousands of ulp off."""
+    node and the largest node of each sampled rule, and the node audit's
+    worst node of each family, lie within NODE_ULP of the roots.  The
+    smallest Laguerre nodes are where a double recurrence's rounding noise
+    puts them thousands of ulp off."""
     if alpha is None:
         nodes = gauss_hermite(count).nodes
         poly = lambda t: mpmath.hermite(count, t)  # noqa: E731
@@ -629,7 +650,7 @@ def test_nodes_within_a_few_ulp_of_the_roots(count, alpha):
         poly = lambda t: mpmath.laguerre(count, alpha, t)  # noqa: E731
     positive = np.flatnonzero(nodes > 0)
     with mpmath.workdps(50):
-        for i in {*positive[:6], positive[len(positive) // 2], count - 1}:
+        for i in {*positive[:6], positive[len(positive) // 2], count - 1} | ({worst} - {None}):
             root = _root_near(poly, nodes[i])
             ulp = abs(mpmath.mpf(float(nodes[i])) - root) / np.spacing(float(root))
             assert ulp <= NODE_ULP, (i, float(nodes[i]), float(ulp))
@@ -796,24 +817,23 @@ def test_laguerre_next_to_alpha_minus_one(monkeypatch, count, gap):
     """At 1 + alpha of 1e-9 and 1e-12 the first root lies in the scan's
     first interval, far below the chord point, and starts from the series
     about the origin; a rule still sweeps exactly twice.  Its 6 smallest
-    nodes are within NODE_ULP of the root of the power series in mpmath, or,
-    at 512 nodes, where the smallest root lies below 1e8 long-double
-    spacings of the top end and the polish keeps its points unrounded,
-    within NEAR_ORIGIN_NODE_ULP.  Rounding those points too cycled the
-    polish to its sweep cap and left that node up to 1e12 ulp off."""
+    nodes are within NEAR_ORIGIN_NODE_ULP of the root of the power series in
+    mpmath, at 64 and 512 nodes too, where the smallest root lies below 1e8
+    long-double spacings of the top end and the polish keeps its points
+    unrounded.  Rounding those points too cycled the polish to its sweep cap
+    and left that node up to 1e12 ulp off."""
     alpha = -1.0 + gap
     calls = _count_engine_sweeps(monkeypatch, "_laguerre_engine")
     _clear_node_memos()
     nodes = gauss_laguerre(count, alpha).nodes
     assert len(calls) == 2 and calls.count(np.longdouble) == 1
-    bound = NEAR_ORIGIN_NODE_ULP if count == 512 else NODE_ULP
-    assert max(_node_audit().series_ulp(count, alpha, nodes[:6])) <= bound
+    assert max(_node_audit().series_ulp(count, alpha, nodes[:6])) <= NEAR_ORIGIN_NODE_ULP
 
 
 # Largest distance of a Taylor start from its long-double root, over the
 # width of its scan bracket (the node audit's start_rel), on the sample below,
-# which holds the worst start of each family measured over 2-512 nodes:
-# Hermite 5.96e-14 (482 nodes), Laguerre 2.99e-12 (502 nodes, alpha 4.5).
+# which holds the node audit's worst start of each family (Hermite 5.63e-14
+# at 481 nodes; Laguerre 2.91e-12 at 493 nodes and alpha 0.5).
 HERMITE_START_REL = 6e-14
 LAGUERRE_START_REL = 3e-12
 
@@ -821,7 +841,7 @@ LAGUERRE_START_REL = 3e-12
 @needs_long_double
 @pytest.mark.parametrize(
     "count, alpha",
-    [pytest.param(count, None, id=f"hermite-{count}") for count in (2, 3, 64, 145, 482)]
+    [pytest.param(count, None, id=f"hermite-{count}") for count in (2, 3, 64, 145, 481, 482)]
     + [
         pytest.param(count, alpha, id=f"laguerre-{count}-{alpha}")
         for count, alpha in (
@@ -831,9 +851,12 @@ LAGUERRE_START_REL = 3e-12
             (56, 4.5),
             (470, 64.5),
             (479, -0.9),
+            (487, 64.5),
             (492, 10.5),
+            (493, 0.5),
             (498, 1000.0),
             (502, 4.5),
+            (506, 0.0),
             (506, 0.5),
             (507, -0.5),
         )

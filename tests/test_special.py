@@ -436,15 +436,15 @@ def _record_recurrences(monkeypatch):
     runs = []
     recurrence = special._recurrence
 
-    def recorded_recurrence(s, fill, b, a_max, table=None):
-        run = {"a": [], "a_max": a_max.copy(), "b": b.copy()}
+    def recorded_recurrence(s, fill, b, a_max, table=None, scale=None):
+        run = {"a": [], "a_max": a_max.copy(), "b": b.copy(), "scale": scale}
         runs.append(run)
 
         def recorded_fill(k0, k1, out):
             fill(k0, k1, out)
             run["a"].extend(row.copy() for row in out)
 
-        return recurrence(s, recorded_fill, b, a_max, table)
+        return recurrence(s, recorded_fill, b, a_max, table, scale)
 
     monkeypatch.setattr(special, "_recurrence", recorded_recurrence)
     return runs
@@ -461,6 +461,30 @@ def _live(family, points):
     return s >= special._MIN_OFFSET
 
 
+def _unit_scales_closed(family, n):
+    """sigma_0..sigma_n of the recurrence scaled to b = 1, from sigma_0 =
+    sigma_1 = 1 and sigma_(k+1) = b_k sigma_(k-1), with the closed-form b_k^2
+    in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        if family == "hermite":
+            b2 = [mpmath.mpf(k) / (k + 1) for k in range(n)]
+        else:
+            alpha = mpmath.mpf(float(family))
+            b2 = [k * (k + alpha) / ((k + 1) * (k + 1 + alpha)) for k in range(n)]
+        scale2 = [mpmath.mpf(1)] * min(2, n + 1)
+        for k in range(1, n):
+            scale2.append(b2[k] * scale2[k - 1])
+        return [mpmath.sqrt(x) for x in scale2]
+
+
+# Largest distance, in ulp of their dtype, of the scales sigma_k that a root
+# sweep hands _recurrence from their closed form: cumulative products of the
+# rounded b_k^2 over each parity class, then a square root.  Over k <= 512 at
+# the families of the budget test the worst measured was 13 ulp (alpha -0.5,
+# in double; 7 in long double).
+UNIT_SCALE_ULP = 32
+
+
 @pytest.mark.parametrize("n", [0, 1, 300])
 @pytest.mark.parametrize("family", BUDGET_FAMILIES)
 def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
@@ -468,7 +492,10 @@ def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
     the a_max[k] the growth budget spent, and the b_k that the budget and the
     steps share are their closed form within 2 ulp, sqrt(k/(k+1)) for
     Hermite and sqrt(k(k+alpha)/((k+1)(k+1+alpha))) for Laguerre, in tables
-    and single evaluations."""
+    and single evaluations, which run no scales.  The double scan and the
+    long-double polish of a rule of max(n, 1) nodes run the recurrence scaled
+    to b = 1: their b_k are all 1, every applied |a_k| is within a_max[k],
+    and every scale is within UNIT_SCALE_ULP of its closed form."""
     runs = _record_recurrences(monkeypatch)
     steps = np.arange(n, dtype=float)
     if family == "hermite":
@@ -486,11 +513,32 @@ def test_growth_budget_bounds_every_applied_coefficient(monkeypatch, family, n):
     assert len(runs) == 2
     for run in runs:
         a_max, b = run["a_max"], run["b"]
+        assert run["scale"] is None
         assert len(run["a"]) == len(a_max) == len(b) == n
         assert np.all(np.abs(b - closed) <= 2 * np.spacing(closed)), np.abs(b - closed) / np.spacing(closed)
         for k, a in enumerate(run["a"]):
             assert a.shape == points.shape
             assert np.all(np.abs(a[live]) <= a_max[k]), (k, a[live], a_max[k])
+
+    runs.clear()
+    count = max(n, 1)
+    quadrature._hermite_nodes.cache_clear()
+    quadrature._laguerre_nodes.cache_clear()
+    if family == "hermite":
+        quadrature.gauss_hermite(count)
+    else:
+        quadrature.gauss_laguerre(count, alpha)
+    assert [run["b"].dtype for run in runs] == [np.float64, np.longdouble]
+    scale_closed = _unit_scales_closed(family, count)
+    for run in runs:
+        a_max, b, scale = run["a_max"], run["b"], run["scale"]
+        assert len(run["a"]) == len(a_max) == len(b) == len(scale) - 1 == count
+        assert np.all(b == 1.0)
+        closed = np.array([mpmath.nstr(x, 30) for x in scale_closed], dtype=scale.dtype)
+        ulp = np.abs(scale - closed) / np.spacing(closed)
+        assert np.all(ulp <= UNIT_SCALE_ULP), (float(np.max(ulp)), int(np.argmax(ulp)))
+        for k, a in enumerate(run["a"]):
+            assert np.all(np.abs(a) <= a_max[k]), (k, a, a_max[k])
 
 
 @pytest.mark.parametrize("family", ["hermite", "-0.5", "0.5", "64.5"])

@@ -132,9 +132,9 @@ def counted_build(build):
     originals = {name: getattr(quadrature, name) for name in (*ENGINES, "_bracket_by_scan")}
 
     def counting(original):
-        def engine(*args):
+        def engine(*args, **kwargs):
             calls.append(args[-1].dtype == np.longdouble)
-            return original(*args)
+            return original(*args, **kwargs)
 
         return engine
 
