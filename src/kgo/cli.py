@@ -23,14 +23,13 @@ Output is deterministic: identical invocations produce identical bytes
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import csv
-import functools
 import io
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -295,115 +294,129 @@ def cmd_greens(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and entry point
+# options, parsers and entry point
 # ---------------------------------------------------------------------------
 
 
-def _common_options(parser):
-    parser.add_argument("--mass", type=float, default=1.0, help="particle mass (natural units)")
-    parser.add_argument("--frequency", type=float, default=1.0, help="oscillator frequency")
-    parser.add_argument(
-        "--convention",
-        choices=[c.value for c in SpectrumConvention],
-        default=SpectrumConvention.ODE_DERIVED.value,
-        help="spectrum convention (default: ode-derived)",
-    )
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
-def _sector_options(parser):
-    """The options of the rule-based commands, which work in one sector: 1D,
-    or radial at one ell."""
-    parser.add_argument("--dimension", choices=["1d", "radial"], default="1d")
-    parser.add_argument("--ell", type=int, default=None)
-    parser.add_argument("--quad-count", type=int, default=None, help="override the automatic rule size")
-
-
-def _spectrum_options(parser):
-    parser.add_argument("--dimension", choices=["1d", "3d"], default="1d")
-    parser.add_argument("--n-max", type=int, default=10)
-
-
-def _orthonormality_options(parser):
-    _sector_options(parser)
-    parser.add_argument("--n-max", type=int, default=50)
-
-
-def _closure_options(parser):
-    _sector_options(parser)
-    parser.add_argument("--truncations", default="10,20,40", help="comma-separated truncation orders")
-    parser.add_argument("--test-function", default="gaussian", help="catalogue id (see README)")
-
-
-def _degeneracy_options(parser):
-    parser.add_argument("--n-max", type=int, default=10)
-
-
-def _greens_options(parser):
-    _sector_options(parser)
-    parser.add_argument("--energy-sq", type=float, required=True, help="probe energy squared")
-    parser.add_argument("--x1", type=float, required=True, help="first position (radius for radial)")
-    parser.add_argument("--x2", type=float, required=True, help="second position (radius for radial)")
-    parser.add_argument("--n-max", type=int, default=25)
-    parser.add_argument("--pole-guard", type=float, default=1e-6)
-
-
-# name -> (help line, options, handler), in the order of the help listing
-_COMMANDS = {
-    "spectrum": ("energy table", _spectrum_options, cmd_spectrum),
-    "orthonormality": ("Gram-matrix check", _orthonormality_options, cmd_orthonormality),
-    "closure": ("weak-closure reconstruction ladder", _closure_options, cmd_closure),
-    "degeneracy": ("shell degeneracy table", _degeneracy_options, cmd_degeneracy),
-    "greens": ("spectral Green's function", _greens_options, cmd_greens),
+# Each command's options as flag -> add_argument keywords, in the order of its
+# help listing.  build_parser() adds them to the full parser, and _match reads
+# a plain argv against them without one.
+_COMMON = {
+    "--mass": {"type": float, "default": 1.0, "help": "particle mass (natural units)"},
+    "--frequency": {"type": float, "default": 1.0, "help": "oscillator frequency"},
+    "--convention": {
+        "choices": [c.value for c in SpectrumConvention],
+        "default": SpectrumConvention.ODE_DERIVED.value,
+        "help": "spectrum convention (default: ode-derived)",
+    },
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--out": {"default": None, "help": "output path (default: stdout)"},
+}
+# the rule-based commands work in one sector: 1D, or radial at one ell
+_SECTOR = {
+    "--dimension": {"choices": ["1d", "radial"], "default": "1d"},
+    "--ell": {"type": int, "default": None},
+    "--quad-count": {"type": int, "default": None, "help": "override the automatic rule size"},
 }
 
+# name -> (help line, handler, options), in the order of the help listing
+_COMMANDS = {
+    "spectrum": (
+        "energy table",
+        cmd_spectrum,
+        {
+            **_COMMON,
+            "--dimension": {"choices": ["1d", "3d"], "default": "1d"},
+            "--n-max": {"type": int, "default": 10},
+        },
+    ),
+    "orthonormality": (
+        "Gram-matrix check",
+        cmd_orthonormality,
+        {**_COMMON, **_SECTOR, "--n-max": {"type": int, "default": 50}},
+    ),
+    "closure": (
+        "weak-closure reconstruction ladder",
+        cmd_closure,
+        {
+            **_COMMON,
+            **_SECTOR,
+            "--truncations": {"default": "10,20,40", "help": "comma-separated truncation orders"},
+            "--test-function": {"default": "gaussian", "help": "catalogue id (see README)"},
+        },
+    ),
+    "degeneracy": ("shell degeneracy table", cmd_degeneracy, {**_COMMON, "--n-max": {"type": int, "default": 10}}),
+    "greens": (
+        "spectral Green's function",
+        cmd_greens,
+        {
+            **_COMMON,
+            **_SECTOR,
+            "--energy-sq": {"type": float, "required": True, "help": "probe energy squared"},
+            "--x1": {"type": float, "required": True, "help": "first position (radius for radial)"},
+            "--x2": {"type": float, "required": True, "help": "second position (radius for radial)"},
+            "--n-max": {"type": int, "default": 25},
+            "--pole-guard": {"type": float, "default": 1e-6},
+        },
+    ),
+}
 
-def _fill(parser, name):
-    _, options, run = _COMMANDS[name]
-    _common_options(parser)
-    options(parser)
-    parser.set_defaults(command=name, run=run)
-    return parser
+# argparse's own test for an argument that looks like a negative number; it
+# reads one as a value, since no kgo flag looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A new full parser: ``kgo`` with every command as a subparser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kgo",
         description="Klein-Gordon oscillator eigenbasis verification experiments",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=summary), name)
+    for name, (summary, run, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(command=name, run=run)
     return parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser alone.  It prints no error: it raises, and
-    main() hands the argv to the full parser, which prints and exits as it
-    always has (its top level, say, finds ``--=x`` ambiguous first)."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-@functools.cache
-def _command_parser(name):
-    """The parser of one command alone, shared by every in-process call: it
-    has the options, prog and help of that command's subparser."""
-    return _fill(_CommandParser(prog=f"kgo {name}"), name)
+def _match(argv):
+    """The namespace that the full parser returns for a plain argv, read from
+    the option table alone, or None for any other argv.  A plain argv is a
+    command and then exact ``--flag value`` pairs, with every required flag
+    given; no value looks like an option, and each converts with its type and
+    lies in its choices."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, run, options = _COMMANDS[argv[0]]
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in values for flag, spec in options.items()):
+        return None
+    fields = {flag[2:].replace("-", "_"): values.get(flag, spec.get("default")) for flag, spec in options.items()}
+    return SimpleNamespace(**fields, command=argv[0], run=run)
 
 
 def _parse(argv):
-    """The namespace of an argv that names a command, from that command's
-    parser alone; help, --version, no or an unknown command, an argument
-    left over and every error go to a new full parser."""
-    if argv and argv[0] in _COMMANDS:
-        with contextlib.suppress(argparse.ArgumentError):
-            return _command_parser(argv[0]).parse_args(argv[1:])
-    return build_parser().parse_args(argv)
+    """The namespace of an argv: a plain one from the option table; help,
+    --version, no or an unknown command, an abbreviation, ``--flag=value``,
+    ``--`` and every left-over or rejected argument from a new full parser,
+    which prints and exits as it always has."""
+    return _match(argv) or build_parser().parse_args(argv)
 
 
 def _run(args) -> int:

@@ -1,8 +1,10 @@
 """CLI driver: table contents, report formats (CSV header/precision,
 JSON schema), exit-code contract, and byte-level determinism."""
 
+import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -594,7 +596,6 @@ def test_readme_cli_examples_run_and_repeat(capsys):
 
 
 def _clear_process_caches():
-    cli._command_parser.cache_clear()
     quadrature._hermite_nodes.cache_clear()
     quadrature._laguerre_nodes.cache_clear()
 
@@ -640,28 +641,128 @@ PARSER_ARGVS = [
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
 def test_command_parsers_agree_with_the_full_parser(monkeypatch, argv):
-    """main parses an argv that names a command with that command's parser
-    alone; through the full parser it prints the same stdout and stderr and
-    exits with the same code, argparse's own exits included."""
+    """main reads a plain argv from the option table and hands every other
+    argv to the full parser; through the full parser alone it prints the same
+    stdout and stderr and exits with the same code, argparse's own exits
+    included."""
     monkeypatch.setenv("COLUMNS", "80")
     alone = _run_in_process(argv)
     monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
     assert _run_in_process(argv) == alone
 
 
-@pytest.mark.parametrize("argv", [*ONE_PER_COMMAND, ["greens", "-h"]], ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("argv", [*ONE_PER_COMMAND, *_readme_cli_examples()], ids=lambda argv: " ".join(argv))
 def test_a_parsed_command_builds_no_full_parser(monkeypatch, argv):
-    def full_parser():
-        raise AssertionError("the full parser was built")
+    """A plain argv is read from the option table: no argparse parser at all."""
 
-    monkeypatch.setattr(cli, "build_parser", full_parser)
+    def no_parser(*args, **kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_parser)
     assert _run_in_process(argv)[0] == 0
+
+
+def test_a_plain_call_imports_neither_argparse_nor_gettext():
+    """A fresh ``kgo`` process that parses a plain argv loads neither module,
+    and so pays for neither import nor for gettext's first call."""
+    script = (
+        "import sys, kgo.cli; code = kgo.cli.main(['degeneracy', '--n-max', '1']); "
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _fields(namespace):
+    """vars() of a namespace, each value as its repr: nan then equals nan,
+    and -0.0 differs from 0.0 and 1 from 1.0."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def _bench_jobs(seeds):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS for seed in seeds for argv in workloads.generate(name, seed)]
+
+
+def test_the_option_table_reads_plain_argvs_as_argparse_does():
+    """Every plain argv of the README, these tests and the bench (seeds 1-5)
+    is read from the option table, into the namespace the full parser
+    returns; the one it declines is one the full parser rejects."""
+    declined = []
+    for argv in [*_readme_cli_examples(), *ONE_PER_COMMAND, *SHARED_STATE_JOBS, *_bench_jobs(range(1, 6))]:
+        plain = cli._match(argv)
+        if plain is None:
+            declined.append(argv)
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        else:
+            assert _fields(plain) == _fields(build_parser().parse_args(argv)), argv
+    assert declined == [SHARED_STATE_JOBS[-2]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--version"],
+        ["no-such-command"],
+        ["--mass", "2", *GREENS],
+        [*GREENS, "-h"],
+        [*GREENS, "--help"],
+        [*GREENS, "--version"],
+        [*GREENS, "--n", "4"],  # an abbreviation
+        ["greens", "--energy", "7.3", "--x1", "0.2", "--x2", "0.3"],
+        [*GREENS, "--n-max=4"],
+        [*GREENS, "--", "0.5"],
+        [*GREENS, "--n-max", "--", "4"],
+        [*GREENS, "extra"],
+        [*GREENS, "--bogus"],
+        [*GREENS, "--bogus", "1"],
+        [*GREENS, "--out", "-"],
+        [*GREENS, "--x1", "-5."],
+        [*GREENS, "--x1", "-1e-05"],
+        [*GREENS, "--x1", "abc"],
+        [*GREENS, "--n-max", ""],
+        [*GREENS, "--n-max", "1.5"],
+        [*GREENS, "--format", "CSV"],
+        [*GREENS, "--dimension", "sphere"],
+        ["greens", "--energy-sq", "7.3", "--x1", "0.2"],
+        ["spectrum", "--n-max"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-argument",
+)
+def test_the_option_table_leaves_the_rest_to_argparse(argv):
+    assert cli._match(argv) is None
+
+
+def test_the_option_table_reads_negative_numbers_repeats_and_spaces():
+    """argparse reads -.5 as a value, keeps the last of a repeated flag and
+    converts " 4" with int; so does the option table."""
+    argv = ["greens", "--x1", "-.5", "--energy-sq", "7.3", "--x2", "0.3", "--n-max", "3", "--n-max", " 4"]
+    plain = cli._match(argv)
+    assert (plain.x1, plain.n_max) == (-0.5, 4)
+    assert _fields(plain) == _fields(build_parser().parse_args(argv))
+
+
+def test_no_flag_looks_like_a_number_or_abbreviates_a_top_level_option():
+    """The full parser's top level reads every argument before the command's
+    parser does: a flag that abbreviates --help or --version would reach it,
+    and a flag like -1 would make argparse read -1 as an option."""
+    for _, _, options in cli._COMMANDS.values():
+        for flag in options:
+            assert not cli._NEGATIVE_NUMBER.match(flag)
+            assert not any(option.startswith(flag) for option in ("--help", "--version"))
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
 def test_shared_parser_and_node_memo_keep_every_report(order):
-    """Jobs run back to back in one process, sharing the parser and the
-    rule nodes, report what each reports from cleared caches."""
+    """Jobs run back to back in one process, sharing the rule nodes,
+    report what each reports from cleared caches."""
     expected = {}
     for argv in SHARED_STATE_JOBS:
         _clear_process_caches()
@@ -827,16 +928,19 @@ REQUIRED_OPTIONS = {"--energy-sq", "--x1", "--x2"}
 def cli_argv(draw):
     """Mostly well-formed argv: every option may be left out, values range
     from ordinary to extreme, and --ell goes with --dimension radial in nine
-    draws of ten."""
+    draws of ten.  Half the draws write ``--flag=value``, which only the full
+    parser reads, and half ``--flag value``, which the option table reads."""
     command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
-    argv = [command]
+    options = {}
     for option, values in {**COMMON_OPTIONS, **COMMAND_OPTIONS[command]}.items():
         if option in REQUIRED_OPTIONS or draw(st.booleans()):
-            argv.append(f"{option}={draw(values)}")
-    radial = "--dimension=radial" in argv
+            options[option] = draw(values)
+    radial = options.get("--dimension") == "radial"
     if command not in ("spectrum", "degeneracy") and radial != (draw(st.integers(0, 9)) == 0):
-        argv.append(f"--ell={draw(st.integers(-1, 70))}")
-    return argv
+        options["--ell"] = str(draw(st.integers(-1, 70)))
+    if draw(st.booleans()):
+        return [command, *(token for pair in options.items() for token in pair)]
+    return [command, *(f"{option}={value}" for option, value in options.items())]
 
 
 def _reject_constant(name):
@@ -848,8 +952,13 @@ def _reject_constant(name):
 @example(argv=["spectrum", "--mass=1e200", "--n-max=2"], fmt="csv")
 @example(argv=["closure", "--mass=1e-24", "--frequency=1e-300"], fmt="csv")
 def test_argv_fuzz_exit_codes_and_finite_output(argv, fmt):
-    """Any argv exits 0-3, and a run that exits 0 wrote only finite numbers."""
-    code, out, _ = _run_in_process(argv + ["--format", fmt])
+    """Any argv exits 0-3, and a run that exits 0 wrote only finite numbers.
+    An argv the option table reads gives the full parser's namespace."""
+    argv = [*argv, "--format", fmt]
+    plain = cli._match(argv)
+    if plain is not None:
+        assert _fields(plain) == _fields(build_parser().parse_args(argv))
+    code, out, _ = _run_in_process(argv)
     assert code in (0, 1, 2, 3)
     if code != 0:
         return

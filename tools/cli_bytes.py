@@ -5,8 +5,10 @@ in-process through ``kgo.cli.main``, once with ``--format csv`` and once with
 ``--format json``, and prints one line per workload: the job count, the
 histogram of exit codes and one SHA-256 over every run's stdout, stderr and
 exit code, in job order.  A further line digests, the same way, a fixed
-list of argvs that argparse itself answers: help, ``--version`` and rejected
-arguments, with the help wrapped at 80 columns.  The last line digests the
+list of argvs on both sides of the line between ``kgo``'s option table and
+argparse: help, ``--version`` and rejected arguments, which argparse answers,
+with the help wrapped at 80 columns, and plain argvs next to that line, which
+the option table reads.  The last line digests the
 ``kgo`` command lines of the README's ``sh`` blocks, then ``greens`` at
 ``--n-max`` 0, 3 and 9 (where the coefficient check reads every row) in
 both dimensions and both formats.  Two trees that print the same lines gave
@@ -66,6 +68,15 @@ PARSER_ARGVS = [
     ["orthonormality", "--dimension", "radial", "--ell", "x"],
     ["closure", "--bogus", "-h"],
     ["degeneracy", "--n-max", "2", "--format", "xml"],
+    # read by the option table as argparse reads them
+    ["greens", "--energy-sq", "7.3", "--x1", "-.5", "--x2", "0.3"],
+    [*GREENS, "--n-max", "3", "--n-max", "4"],
+    [*GREENS, "--n-max", " 4"],
+    # answered by argparse
+    ["greens", "--energy-sq", "7.3", "--x1", "-5.", "--x2", "0.3"],
+    ["greens", "--energy-sq", "7.3", "--x1", "-1e-05", "--x2", "0.3"],
+    [*GREENS, "--n-max", ""],
+    [*GREENS, "--format", "CSV"],
 ]
 SMALL_GREENS = [
     [*GREENS, *sector, "--n-max", n_max, "--format", fmt]
